@@ -7,7 +7,8 @@
 // builds means a real reordering/contraction of floating-point math crept
 // into the hot path, not "benign" noise. The transcript covers the three
 // determinism-critical paths: the scalar pipeline, block mode (noise-plan
-// path), and the lockstep ModulatorBank.
+// path), and the lockstep ModulatorBank — including a heterogeneous bank
+// whose lanes run the step kernel at mixed widths.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -84,6 +85,41 @@ int main() {
       for (const auto& s : out[k]) {
         std::printf("%zu %lld\n", k, static_cast<long long>(s.code));
       }
+    }
+  }
+
+  // 5) Heterogeneous ModulatorBank, 7 lanes: under AVX2, lanes 0–3 form one
+  //    4-wide packet and lanes 4–6 run 1-wide; under NEON, 2-wide packets
+  //    plus the flicker lane; under scalar dispatch every lane is 1-wide.
+  //    Lane 4 has a wide metastable band (constant comparator plan resyncs),
+  //    lane 6 has op-amp flicker (its own control structure). Two blocks,
+  //    neither a multiple of the 128-clock plan frame.
+  {
+    std::vector<analog::ModulatorConfig> configs(7, chip.modulator);
+    for (std::size_t k = 0; k < configs.size(); ++k) configs[k].seed += 101 * k;
+    configs[4].comparator.metastable_band_v = 0.3;
+    configs[6].opamp1.flicker_corner_hz = 1000.0;
+    configs[6].opamp2.flicker_corner_hz = 500.0;
+    analog::ModulatorBank bank{configs};
+    // Inside the chip's ±5 fF full scale (C_fb1 = 5 fF).
+    const std::vector<double> c_sense{98e-15, 101e-15, 102.5e-15, 99e-15,
+                                      100.5e-15, 97.5e-15, 101.5e-15};
+    const std::vector<double> c_ref(configs.size(), 100e-15);
+    std::vector<std::vector<int>> lanes(configs.size());
+    for (const std::size_t clocks : {std::size_t{333}, std::size_t{700}}) {
+      std::vector<int> bits(configs.size() * clocks);
+      bank.step_capacitive_block(c_sense.data(), c_ref.data(), bits.data(), clocks);
+      for (std::size_t k = 0; k < configs.size(); ++k) {
+        const auto begin = bits.begin() + static_cast<std::ptrdiff_t>(k * clocks);
+        lanes[k].insert(lanes[k].end(), begin,
+                        begin + static_cast<std::ptrdiff_t>(clocks));
+      }
+    }
+    std::printf("mixed_width_bank\n");
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      std::printf("lane%zu %016llx clips %zu\n", k,
+                  static_cast<unsigned long long>(fnv1a_bits(lanes[k])),
+                  bank.lane(k).clip_count());
     }
   }
   return 0;

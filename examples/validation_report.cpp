@@ -11,7 +11,9 @@
 // generator's ground truth: AAMI-style pass/fail, BHS-style letter grades,
 // Bland–Altman agreement, transient-response metrics. Emits the
 // fleet-aggregatable JSONL artifact (per-session, per-cohort, fleet lines)
-// plus a human-readable cohort table.
+// plus a human-readable cohort table. A member whose admission fails is
+// graded as failed in both (a "failed" field, present only then) and the
+// report still exits 0.
 //
 // Determinism contract: for fixed flags the JSONL bytes are identical
 // across repeated runs and across --threads values — population members are
@@ -19,6 +21,7 @@
 // the cohort roll-up is an exact merge of per-session accumulators.
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <span>
@@ -47,7 +50,19 @@ core::SessionValidationRecord run_member(const bio::ScenarioConfig& member,
   config.wrist.enable_artifacts = member.enable_artifacts;
 
   fleet::PatientSession session{static_cast<std::uint32_t>(member.member_index), config};
-  session.admit();
+  try {
+    session.admit();
+  } catch (const std::exception& e) {
+    // A member whose calibration acquisition fails is graded as failed;
+    // one patient must not take the whole report down.
+    core::SessionValidationRecord failed;
+    failed.session_id = static_cast<std::uint32_t>(member.member_index);
+    failed.cohort = member.cohort;
+    failed.scenario = bio::to_string(member.family);
+    failed.seed = member.seed;
+    failed.failure = std::string{"admission failed: "} + e.what();
+    return failed;
+  }
 
   core::ValidationConfig vconfig;
   vconfig.min_pairs = min_pairs;
@@ -88,14 +103,14 @@ core::SessionValidationRecord run_member(const bio::ScenarioConfig& member,
                             config.scenario_profile.get());
 }
 
-void print_grade_row(std::ostream& os, const std::string& label, std::size_t sessions,
-                     std::size_t aami_pass, const core::ErrorAccumulator& sys,
-                     std::size_t min_pairs) {
-  const core::BlandAltman ba = core::bland_altman(sys);
-  os << "  " << label << ": sessions=" << sessions << " aami_pass=" << aami_pass
-     << " sys_bias=" << ba.bias_mmhg << " sys_sd=" << ba.sd_mmhg
-     << " aami=" << core::to_string(core::aami_verdict(sys, min_pairs))
-     << " bhs=" << core::to_string(core::bhs_grade(sys, min_pairs)) << "\n";
+void print_grade_row(std::ostream& os, const std::string& label,
+                     const core::CohortValidation& c, std::size_t min_pairs) {
+  const core::BlandAltman ba = core::bland_altman(c.sys_error);
+  os << "  " << label << ": sessions=" << c.sessions << " aami_pass=" << c.aami_pass_sessions;
+  if (c.failed_sessions > 0) os << " failed=" << c.failed_sessions;
+  os << " sys_bias=" << ba.bias_mmhg << " sys_sd=" << ba.sd_mmhg
+     << " aami=" << core::to_string(core::aami_verdict(c.sys_error, min_pairs))
+     << " bhs=" << core::to_string(core::bhs_grade(c.sys_error, min_pairs)) << "\n";
 }
 
 }  // namespace
@@ -176,13 +191,18 @@ int main(int argc, char** argv) {
             << "s threads=" << runner.thread_count() << "\n";
   core::CohortValidation fleet_total;
   for (const auto& cohort : aggregator.validation_by_cohort()) {
-    print_grade_row(std::cout, "cohort " + cohort.cohort, cohort.sessions,
-                    cohort.aami_pass_sessions, cohort.sys_error, min_pairs);
+    print_grade_row(std::cout, "cohort " + cohort.cohort, cohort, min_pairs);
     fleet_total.sessions += cohort.sessions;
     fleet_total.aami_pass_sessions += cohort.aami_pass_sessions;
+    fleet_total.failed_sessions += cohort.failed_sessions;
     fleet_total.sys_error.merge(cohort.sys_error);
   }
-  print_grade_row(std::cout, "fleet", fleet_total.sessions,
-                  fleet_total.aami_pass_sessions, fleet_total.sys_error, min_pairs);
+  print_grade_row(std::cout, "fleet", fleet_total, min_pairs);
+  for (const auto& rec : aggregator.validation_records()) {
+    if (!rec.failure.empty()) {
+      std::cout << "  member " << rec.session_id << " (" << rec.scenario
+                << ") failed: " << rec.failure << "\n";
+    }
+  }
   return 0;
 }

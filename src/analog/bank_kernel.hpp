@@ -1,19 +1,27 @@
-// bank_kernel.hpp — width-W ΔΣ step kernel shared by the ISA translation
-// units of the vectorized ModulatorBank.
+// bank_kernel.hpp — the planned ΔΣ step kernel: the only planned
+// implementation of the modulator's charge-transfer recurrence, at any lane
+// width W. step_normalized (modulator.cpp) stays as the per-clock reference
+// the tests compare against.
 //
 // One PacketView describes a *packet*: W lanes whose configs share the same
 // control structure (loop order, settling, which noise sources exist), laid
 // out SoA — per-lane state and invariants as width-sized arrays, per-frame
-// noise plans transposed to [clock][lane] so each clock is one contiguous
-// vector load. Lane *values* (seeds, capacitances, noise magnitudes, inputs)
-// are free to differ; only the branch structure must be uniform, because the
-// kernel's `if (p.op1)`-style branches are per-packet, not per-lane.
+// noise plans [clock][lane] so each clock is one contiguous vector load. Lane
+// *values* (seeds, capacitances, noise magnitudes, inputs) are free to
+// differ; only the branch structure must be uniform, because the kernel's
+// `if (p.noise[kOp1])`-style branches are per-packet, not per-lane.
 //
-// The kernel mirrors DeltaSigmaModulator::step_planned_ expression for
-// expression; every arithmetic operation is elementwise IEEE (add/sub/mul/
-// div, compare, select, sign flip), which vector units round exactly like
-// scalar units — that is the entire bit-exactness argument. The two places
-// the scalar model is not elementwise-expressible stay scalar per lane,
+// Three policies instantiate it: AVX2 (W=4) and NEON (W=2) for the
+// ModulatorBank's full packets, and scalar (W=1, always compiled) for
+// everything else — a solo DeltaSigmaModulator::step_capacitive_block, which
+// runs a 1-lane view of its own state and noise plan (stride 1, so no
+// transpose), and the bank lanes that do not fill a W-wide packet. So the
+// bank == solo contract is one kernel at two widths.
+//
+// Every arithmetic operation is elementwise IEEE (add/sub/mul/div, compare,
+// select, sign flip), which vector units round exactly like scalar units —
+// that is the entire bit-exactness argument against step_normalized. The two
+// places the model is not elementwise-expressible stay scalar per lane,
 // behind masks:
 //   * op-amp partial settling (OpAmp::settle calls exp()): lanes whose step
 //     exceeds the provable full-settle threshold drop out of the vector for
@@ -21,15 +29,14 @@
 //   * comparator metastability (data-dependent Bernoulli + plan resync):
 //     lanes inside the metastable band resolve through `metastable_fn`,
 //     which replays the scalar slow path and rewrites the lane's comparator
-//     plan tail (including the packet's transposed copy) before returning
-//     the decision.
+//     plan tail (including a packet's transposed copy) before returning the
+//     decision.
 // Both are rare at the paper's operating point; their cost amortizes away.
 //
-// Loop order is clock-outer / packet-inner (mirroring the scalar bank's
-// clock-outer / lane-inner lockstep): each packet's per-clock dependency
-// chain is long (two divisions plus the comparator decide feed the next
-// clock), so interleaving packets lets independent chains overlap in the
-// core instead of serializing.
+// Loop order is clock-outer / packet-inner: each packet's per-clock
+// dependency chain is long (two divisions plus the comparator decide feed
+// the next clock), so interleaving packets lets independent chains overlap
+// in the core instead of serializing.
 #pragma once
 
 #include <cstddef>
@@ -39,49 +46,57 @@ namespace tono::analog::bankkernel {
 /// Widest kernel lane count (AVX2: 4 × f64). Packet storage pads to this.
 inline constexpr std::size_t kMaxWidth = 4;
 
+/// Per-lane state the kernel reads and writes (PacketView::state).
+enum State : std::size_t {
+  kX1,     ///< first-integrator state, full-scale units
+  kX2,     ///< second-integrator state (stage pairs are adjacent: s = 0, 1)
+  kD,      ///< previous output bit as ±1.0
+  kLast,   ///< comparator hysteresis memory as ±1.0
+  kTime,   ///< clock time [s]
+  kMax1,   ///< largest |integrator 1| voltage
+  kMax2,
+  kClips,  ///< clipped-update count accumulator (double)
+  kNumState
+};
+
+/// Per-lane invariants (PacketView::in).
+enum Invariant : std::size_t {
+  kU,             ///< normalized input
+  kG1,            ///< loop.g1
+  kA1,            ///< loop.a1
+  kP2,            ///< loop.g2 * g2_mismatch (pre-multiplied, same
+                  ///< association as the scalar expression)
+  kA2,            ///< loop.a2
+  kScale,         ///< loop.state_scale_v
+  kLeak1,         ///< op-amp leak factors
+  kLeak2,
+  kSwing1,        ///< op-amp output swings (clip bounds)
+  kSwing2,
+  kSettle1,       ///< full-settle thresholds
+  kSettle2,
+  kCompOffset,
+  kCompHalfHyst,  ///< 0.5 * hysteresis_v, pre-multiplied
+  kCompBand,      ///< metastable band
+  kClockPeriod,
+  kNumInvariant
+};
+
+/// Noise sources, one per-frame plan each (PacketView::noise).
+enum Source : std::size_t { kKtc, kRef, kOp1, kFl1, kOp2, kFl2, kComp, kNumSource };
+
 struct PacketView {
   std::size_t width{0};  ///< lanes in this packet (== kernel width)
 
-  // Per-lane state, width entries. The owner loads these from the lane
-  // objects before a block and writes them back after (see ModulatorBank).
-  double* x1{nullptr};
-  double* x2{nullptr};
-  double* d{nullptr};     ///< previous output bit as ±1.0
-  double* last{nullptr};  ///< comparator hysteresis memory as ±1.0
-  double* time_s{nullptr};
-  double* max1{nullptr};
-  double* max2{nullptr};
-  double* clips{nullptr};  ///< clipped-update count accumulator (double)
-
-  // Per-lane invariants.
-  const double* u{nullptr};       ///< normalized input
-  const double* g1{nullptr};      ///< loop.g1
-  const double* a1{nullptr};      ///< loop.a1
-  const double* p2{nullptr};      ///< loop.g2 * g2_mismatch (pre-multiplied,
-                                  ///< same association as the scalar expression)
-  const double* a2{nullptr};      ///< loop.a2
-  const double* scale{nullptr};   ///< loop.state_scale_v
-  const double* leak1{nullptr};   ///< opamp leak factors
-  const double* leak2{nullptr};
-  const double* swing1{nullptr};  ///< output swings (clip bounds)
-  const double* swing2{nullptr};
-  const double* settle1{nullptr};  ///< full-settle thresholds
-  const double* settle2{nullptr};
-  const double* comp_offset{nullptr};
-  const double* comp_halfhyst{nullptr};  ///< 0.5 * hysteresis_v, pre-multiplied
-  const double* comp_band{nullptr};      ///< metastable band
-  const double* clock_period{nullptr};
-
-  // Transposed per-frame noise plans, [clock][lane] with stride = width;
-  // nullptr when the source is disabled for this packet (matching the
-  // scalar path's conditional adds).
-  const double* ktc{nullptr};
-  const double* ref{nullptr};
-  const double* op1{nullptr};
-  const double* fl1{nullptr};
-  const double* op2{nullptr};
-  const double* fl2{nullptr};
-  const double* comp{nullptr};  ///< comparator noise (nullptr = noise off)
+  /// Per-lane state, width entries per field. A W-wide packet's owner loads
+  /// these from the lane objects before a block and writes them back after
+  /// (see ModulatorBank); a 1-lane view points at the modulator's own members.
+  double* state[kNumState]{};
+  /// Per-lane invariants, width entries per field.
+  const double* in[kNumInvariant]{};
+  /// Per-frame noise plans, [clock][lane] with stride = width; nullptr when
+  /// the source is disabled for this packet (matching step_normalized's
+  /// conditional adds).
+  const double* noise[kNumSource]{};
 
   bool order2{true};
   bool settling{true};
@@ -99,8 +114,11 @@ struct PacketView {
                           std::size_t clock){nullptr};
 };
 
-/// ISA entry points, one TU each (modulator_bank_avx2.cpp / _neon.cpp).
-/// Every packet must have width == the kernel's lane count.
+/// Entry points, one per policy. Every packet must have width == the
+/// kernel's lane count. The scalar (W=1) one is always compiled (modulator.cpp);
+/// the ISA ones have a TU each (modulator_bank_avx2.cpp / _neon.cpp).
+void run_packets_scalar(PacketView* packets, std::size_t n_packets,
+                        std::size_t n_clocks);
 void run_packets_avx2(PacketView* packets, std::size_t n_packets,
                       std::size_t n_clocks);
 void run_packets_neon(PacketView* packets, std::size_t n_packets,
@@ -111,8 +129,8 @@ void run_packets_neon(PacketView* packets, std::size_t n_packets,
 /// packet's scaled, [clock][lane]-transposed plan buffers, skipping the
 /// intermediate per-lane NoisePlan arrays entirely. Only built for packets
 /// with all four shared sources enabled (four draws per clock — the
-/// default operating point); other structures take the generic path in
-/// ModulatorBank::fuse_shared_packet_plans_.
+/// default operating point); other packets de-interleave lane by lane
+/// through DeltaSigmaModulator::build_shared_plan_ with a stride.
 struct SharedFuseJob {
   const double* raw[kMaxWidth];  ///< per-slot raw stream, 4 normals/clock
   double* ktc;                   ///< dest [clock*width + slot]
@@ -131,13 +149,65 @@ struct SharedFuseJob {
 
 /// AVX2 fused de-interleave + scale + 4×4 transpose (width must be 4).
 /// Elementwise mul/add/div in the exact scalar association, so each value
-/// is bit-identical to build_shared_plan_ + the old copy-transpose.
+/// is bit-identical to build_shared_plan_ at stride 4.
 void fuse_shared4_avx2(const SharedFuseJob& job, std::size_t n_clocks);
 
-/// The kernel template the ISA TUs instantiate with their vector-ops policy
-/// V (width V::kW, vector type V::D, mask type V::M plus the elementwise ops
-/// used below). Defined in the header so each ISA TU compiles its own copy
-/// with its own target flags; nothing here is ISA-specific.
+/// One integrator stage (s = 0 first, 1 second) of a packet for clock
+/// offset `off`: adds the stage's op-amp and flicker plan noise to `delta`,
+/// settles it, integrates with leak, clips to the output swing, counts clips
+/// into `clips`, tracks the peak and stores the new state, which it returns.
+template <class V>
+inline typename V::D integrate(const PacketView& p, std::size_t s,
+                               std::size_t off, typename V::D delta,
+                               typename V::D scale, typename V::D& clips) {
+  using D = typename V::D;
+  if (const double* op = p.noise[s == 0 ? kOp1 : kOp2]) {
+    delta = V::add(delta, V::load(op + off));
+  }
+  if (const double* fl = p.noise[s == 0 ? kFl1 : kFl2]) {
+    delta = V::add(delta, V::load(fl + off));
+  }
+  if (p.settling) {
+    // settle(v) returns v bit-for-bit at or below the full-settle threshold
+    // (OpAmp::full_settle_threshold), and settle(±0) returns +0.0.
+    const D v = V::mul(delta, scale);
+    D numer = V::select(V::cmp_eq(v, V::zero()), V::zero(), v);
+    const typename V::M slow = V::cmp_nle(V::abs(v), V::load(p.in[kSettle1 + s]));
+    if (V::any(slow)) {
+      double va[V::kW];
+      double na[V::kW];
+      V::store(va, v);
+      V::store(na, numer);
+      unsigned m = V::mask(slow);
+      do {
+        const unsigned w = V::ctz(m);
+        m &= m - 1;
+        na[w] = p.settle_fn(p.ctx, w, static_cast<int>(s + 1), va[w]);
+      } while (m != 0);
+      numer = V::load(na);
+    }
+    delta = V::div(numer, scale);
+  }
+  const D x_new =
+      V::add(V::mul(V::load(p.in[kLeak1 + s]), V::load(p.state[kX1 + s])), delta);
+  const D v_x = V::mul(x_new, scale);
+  const D sw = V::load(p.in[kSwing1 + s]);
+  const D nsw = V::neg(sw);
+  const D x = V::div(
+      V::select(V::cmp_lt(v_x, nsw), nsw, V::select(V::cmp_lt(sw, v_x), sw, v_x)),
+      scale);
+  clips = V::add(clips, V::select(V::cmp_neq(x, x_new), V::one(), V::zero()));
+  const D ax = V::abs(V::mul(x, scale));
+  const D mx = V::load(p.state[kMax1 + s]);
+  V::store(p.state[kMax1 + s], V::select(V::cmp_lt(mx, ax), ax, mx));
+  V::store(p.state[kX1 + s], x);
+  return x;
+}
+
+/// The kernel template each policy TU instantiates with its vector-ops
+/// policy V (width V::kW, vector type V::D, mask type V::M plus the
+/// elementwise ops used here). Defined in the header so each ISA TU compiles
+/// its own copy with its own target flags; nothing here is ISA-specific.
 template <class V>
 inline void run_packets(PacketView* packets, std::size_t n_packets,
                         std::size_t n_clocks) {
@@ -146,119 +216,41 @@ inline void run_packets(PacketView* packets, std::size_t n_packets,
     for (std::size_t pi = 0; pi < n_packets; ++pi) {
       PacketView& p = packets[pi];
       const std::size_t off = i * V::kW;
-      const D scale = V::load(p.scale);
-      const D d = V::load(p.d);
-      D x1 = V::load(p.x1);
+      const D scale = V::load(p.in[kScale]);
+      const D d = V::load(p.state[kD]);
+      const D x1_prev = V::load(p.state[kX1]);
 
       // u_total = u + extra_noise_u + ref_err_u * d  (zeros when off, exactly
-      // as the scalar path computes with its zero-initialized locals).
-      const D ref = p.ref ? V::load(p.ref + off) : V::zero();
-      const D ktc = p.ktc ? V::load(p.ktc + off) : V::zero();
-      const D u_total = V::add(V::add(V::load(p.u), ktc), V::mul(ref, d));
-
+      // as step_normalized computes with its zero-initialized locals).
+      const D ref = p.noise[kRef] ? V::load(p.noise[kRef] + off) : V::zero();
+      const D ktc = p.noise[kKtc] ? V::load(p.noise[kKtc] + off) : V::zero();
+      const D u_total = V::add(V::add(V::load(p.in[kU]), ktc), V::mul(ref, d));
       // delta1 = g1*u_total - a1*d*(1 + ref_err_u)
-      D delta1 = V::sub(
-          V::mul(V::load(p.g1), u_total),
-          V::mul(V::mul(V::load(p.a1), d), V::add(V::one(), ref)));
-      if (p.op1) delta1 = V::add(delta1, V::load(p.op1 + off));
-      if (p.fl1) delta1 = V::add(delta1, V::load(p.fl1 + off));
-      if (p.settling) {
-        const D v1 = V::mul(delta1, scale);
-        D numer = V::select(V::cmp_eq(v1, V::zero()), V::zero(), v1);
-        const typename V::M slow = V::cmp_nle(V::abs(v1), V::load(p.settle1));
-        if (V::any(slow)) {
-          double va[V::kW];
-          double na[V::kW];
-          V::store(va, v1);
-          V::store(na, numer);
-          unsigned m = V::mask(slow);
-          do {
-            const unsigned w = V::ctz(m);
-            m &= m - 1;
-            na[w] = p.settle_fn(p.ctx, w, 1, va[w]);
-          } while (m != 0);
-          numer = V::load(na);
-        }
-        delta1 = V::div(numer, scale);
-      }
-      const D x1_prev = x1;
-      const D x1_new = V::add(V::mul(V::load(p.leak1), x1), delta1);
-      const D v_x1 = V::mul(x1_new, scale);
-      const D sw1 = V::load(p.swing1);
-      const D nsw1 = V::neg(sw1);
-      const D clipped1 =
-          V::select(V::cmp_lt(v_x1, nsw1), nsw1,
-                    V::select(V::cmp_lt(sw1, v_x1), sw1, v_x1));
-      x1 = V::div(clipped1, scale);
-      D clips = V::load(p.clips);
-      clips = V::add(
-          clips, V::select(V::cmp_neq(x1, x1_new), V::one(), V::zero()));
-      {
-        const D ax1 = V::abs(V::mul(x1, scale));
-        const D mx1 = V::load(p.max1);
-        V::store(p.max1, V::select(V::cmp_lt(mx1, ax1), ax1, mx1));
-      }
-      V::store(p.x1, x1);
-
+      const D delta1 = V::sub(
+          V::mul(V::load(p.in[kG1]), u_total),
+          V::mul(V::mul(V::load(p.in[kA1]), d), V::add(V::one(), ref)));
+      D clips = V::load(p.state[kClips]);
+      const D x1 = integrate<V>(p, 0, off, delta1, scale, clips);
       D y;
       if (p.order2) {
-        D x2 = V::load(p.x2);
         // delta2 = (g2 * g2_mismatch) * x1_prev - a2 * d
-        D delta2 = V::sub(V::mul(V::load(p.p2), x1_prev),
-                          V::mul(V::load(p.a2), d));
-        if (p.op2) delta2 = V::add(delta2, V::load(p.op2 + off));
-        if (p.fl2) delta2 = V::add(delta2, V::load(p.fl2 + off));
-        if (p.settling) {
-          const D v2 = V::mul(delta2, scale);
-          D numer = V::select(V::cmp_eq(v2, V::zero()), V::zero(), v2);
-          const typename V::M slow =
-              V::cmp_nle(V::abs(v2), V::load(p.settle2));
-          if (V::any(slow)) {
-            double va[V::kW];
-            double na[V::kW];
-            V::store(va, v2);
-            V::store(na, numer);
-            unsigned m = V::mask(slow);
-            do {
-              const unsigned w = V::ctz(m);
-              m &= m - 1;
-              na[w] = p.settle_fn(p.ctx, w, 2, va[w]);
-            } while (m != 0);
-            numer = V::load(na);
-          }
-          delta2 = V::div(numer, scale);
-        }
-        const D x2_new = V::add(V::mul(V::load(p.leak2), x2), delta2);
-        const D v_x2 = V::mul(x2_new, scale);
-        const D sw2 = V::load(p.swing2);
-        const D nsw2 = V::neg(sw2);
-        const D clipped2 =
-            V::select(V::cmp_lt(v_x2, nsw2), nsw2,
-                      V::select(V::cmp_lt(sw2, v_x2), sw2, v_x2));
-        x2 = V::div(clipped2, scale);
-        clips = V::add(
-            clips, V::select(V::cmp_neq(x2, x2_new), V::one(), V::zero()));
-        {
-          const D ax2 = V::abs(V::mul(x2, scale));
-          const D mx2 = V::load(p.max2);
-          V::store(p.max2, V::select(V::cmp_lt(mx2, ax2), ax2, mx2));
-        }
-        V::store(p.x2, x2);
-        y = V::mul(x2, scale);
+        const D delta2 = V::sub(V::mul(V::load(p.in[kP2]), x1_prev),
+                                V::mul(V::load(p.in[kA2]), d));
+        y = V::mul(integrate<V>(p, 1, off, delta2, scale, clips), scale);
       } else {
         y = V::mul(x1, scale);
       }
-      V::store(p.clips, clips);
+      V::store(p.state[kClips], clips);
 
-      // Comparator decide (decide_planned): v = y - offset [+ noise];
+      // Comparator::decide with planned noise: v = y - offset [+ noise];
       // v -= halfhyst * (-last); |v| < band → metastable slow path.
-      D cv = V::sub(y, V::load(p.comp_offset));
-      if (p.comp) cv = V::add(cv, V::load(p.comp + off));
-      cv = V::sub(cv,
-                  V::mul(V::load(p.comp_halfhyst), V::neg(V::load(p.last))));
+      D cv = V::sub(y, V::load(p.in[kCompOffset]));
+      if (p.noise[kComp]) cv = V::add(cv, V::load(p.noise[kComp] + off));
+      cv = V::sub(cv, V::mul(V::load(p.in[kCompHalfHyst]),
+                             V::neg(V::load(p.state[kLast]))));
       D newlast =
           V::select(V::cmp_ge(cv, V::zero()), V::one(), V::neg(V::one()));
-      const typename V::M meta = V::cmp_lt(V::abs(cv), V::load(p.comp_band));
+      const typename V::M meta = V::cmp_lt(V::abs(cv), V::load(p.in[kCompBand]));
       if (V::any(meta)) {
         double la[V::kW];
         V::store(la, newlast);
@@ -270,10 +262,10 @@ inline void run_packets(PacketView* packets, std::size_t n_packets,
         } while (m != 0);
         newlast = V::load(la);
       }
-      V::store(p.last, newlast);
-      V::store(p.d, newlast);
-      V::store(p.time_s,
-               V::add(V::load(p.time_s), V::load(p.clock_period)));
+      V::store(p.state[kLast], newlast);
+      V::store(p.state[kD], newlast);
+      V::store(p.state[kTime],
+               V::add(V::load(p.state[kTime]), V::load(p.in[kClockPeriod])));
       double lb[V::kW];
       V::store(lb, newlast);
       for (std::size_t w = 0; w < V::kW; ++w) {

@@ -4,48 +4,36 @@
 
 namespace tono::analog {
 
-void Comparator::plan(double* noise_dest, std::size_t n) noexcept {
+Rng* Comparator::plan(double* noise_dest, std::size_t n) noexcept {
   plan_buf_ = noise_dest;
   plan_len_ = n;
-  plan_idx_ = 0;
   segment_start_ = 0;
-  if (config_.noise_vrms > 0.0) {
-    plan_snapshot_ = rng_;
-    rng_.fill_gaussian(noise_dest, n, 0.0, config_.noise_vrms);
-  }
-  // With noise off the scalar path draws nothing per decision — the stream
-  // is consumed only by metastable events, which decide_planned() routes
-  // through planned_metastable_() in the same order. Nothing to pre-draw.
-}
-
-Rng* Comparator::plan_external(double* noise_dest, std::size_t n) noexcept {
-  plan_buf_ = noise_dest;
-  plan_len_ = n;
-  plan_idx_ = 0;
-  segment_start_ = 0;
+  // With noise off the stream is consumed only by metastable events, which
+  // decide_metastable_at() routes through planned_metastable_() in the same
+  // order. Nothing to pre-draw.
   if (config_.noise_vrms <= 0.0) return nullptr;
   plan_snapshot_ = rng_;
   return &rng_;
 }
 
-bool Comparator::planned_metastable_() noexcept {
+bool Comparator::planned_metastable_(std::size_t consumed) noexcept {
   if (config_.noise_vrms <= 0.0) return rng_.bernoulli(0.5);
   // The scalar stream interleaves this Bernoulli between the Gaussian just
-  // consumed (index plan_idx_ - 1) and the next one. Rewind to the segment
+  // consumed (index consumed - 1) and the next one. Rewind to the segment
   // snapshot, replay the Gaussians consumed since then to reconstruct the
   // exact mid-frame state (including the polar method's spare cache), draw
   // the Bernoulli at its scalar position, then regenerate the not-yet-
   // consumed tail of the plan from the post-Bernoulli state — those values
   // change, exactly as they would have in the scalar sequence.
   Rng replay = plan_snapshot_;
-  for (std::size_t i = segment_start_; i < plan_idx_; ++i) {
+  for (std::size_t i = segment_start_; i < consumed; ++i) {
     (void)replay.gaussian();
   }
   const bool bit = replay.bernoulli(0.5);
   plan_snapshot_ = replay;
-  segment_start_ = plan_idx_;
+  segment_start_ = consumed;
   rng_ = replay;
-  rng_.fill_gaussian(plan_buf_ + plan_idx_, plan_len_ - plan_idx_, 0.0,
+  rng_.fill_gaussian(plan_buf_ + consumed, plan_len_ - consumed, 0.0,
                      config_.noise_vrms);
   return bit;
 }
@@ -61,7 +49,7 @@ void Comparator::restore(CheckpointReader& in) {
   rng_.restore(in);
   last_ = static_cast<int>(in.i64());
   plan_buf_ = nullptr;
-  plan_len_ = plan_idx_ = segment_start_ = 0;
+  plan_len_ = segment_start_ = 0;
 }
 
 }  // namespace tono::analog

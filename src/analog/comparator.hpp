@@ -41,55 +41,36 @@ class Comparator {
     return last_;
   }
 
-  /// Pre-draws the noise for the next `n` decide_planned() calls into the
-  /// caller-owned `noise_dest` (the modulator's per-frame noise plan).
-  /// decide_planned() then consumes one entry per call and stays
-  /// bit-identical to decide(): the only draw that cannot be planned is the
-  /// metastable Bernoulli — it depends on the decision input — and when one
-  /// fires, the out-of-line slow path rewinds to a snapshot of the stream,
+  /// Starts a plan of the next `n` decisions' noise in the caller-owned
+  /// `noise_dest` (the modulator's per-frame noise plan) and returns the
+  /// stream the caller pre-draws it from: n × fill_gaussian(…, 0.0,
+  /// noise_vrms), or the same affine map over a batched
+  /// Rng::fill_gaussian_multi. Returns nullptr when noise is off (decide()
+  /// draws nothing per decision then). The snapshot taken here, before any
+  /// draw, anchors the metastable resync. The step kernel (bank_kernel.hpp)
+  /// then makes decide()'s decision with plan entry i as clock i's noise,
+  /// which stays bit-identical to decide(): the only draw that cannot be
+  /// planned is the metastable Bernoulli — it depends on the decision input —
+  /// and when one fires, decide_metastable_at() rewinds to the snapshot,
   /// replays the Gaussians consumed so far, interleaves the Bernoulli at its
   /// scalar position, and refills the rest of the plan from the new state.
   /// Metastable events are rare at the paper's operating point (band is µV
   /// against ~100 mV quantizer swing), so the resync cost is amortized away.
-  void plan(double* noise_dest, std::size_t n) noexcept;
+  [[nodiscard]] Rng* plan(double* noise_dest, std::size_t n) noexcept;
 
-  /// Planned variant of decide(): same decision logic, noise read from the
-  /// plan() buffer instead of drawn inline. Requires an active plan with at
-  /// least one unconsumed entry.
-  [[nodiscard]] int decide_planned(double input_v) noexcept {
-    double v = input_v - config_.offset_v;
-    if (config_.noise_vrms > 0.0) v += plan_buf_[plan_idx_++];
-    v -= 0.5 * config_.hysteresis_v * static_cast<double>(-last_);
-    if (std::abs(v) < config_.metastable_band_v) {
-      last_ = planned_metastable_() ? 1 : -1;
-      return last_;
-    }
-    last_ = v >= 0.0 ? 1 : -1;
-    return last_;
-  }
-
-  /// Bank fill-path variant of plan(): identical bookkeeping (snapshot taken
-  /// BEFORE any draw — it anchors the metastable resync), but the bulk fill
-  /// itself is left to the caller, who batches it across lanes through the
-  /// returned stream (Rng::fill_gaussian_multi) and then applies the same
-  /// `0.0 + noise_vrms * x` affine map fill_gaussian(mean, sigma) would.
-  /// Returns nullptr when noise is off (nothing to pre-draw — see plan()).
-  [[nodiscard]] Rng* plan_external(double* noise_dest, std::size_t n) noexcept;
-
-  /// Vectorized-bank escape hatch: the width-W kernel evaluated this lane's
-  /// decision for plan index `idx` (consuming its noise entry, when noise is
-  /// on) and landed in the metastable band. Replays the scalar slow path —
-  /// resync the stream, draw the Bernoulli at its scalar position, refill
-  /// plan entries (idx+1, len) — and returns the ±1 decision, updating the
-  /// hysteresis memory exactly as decide_planned() would have.
+  /// The step kernel's metastable escape: the kernel evaluated this
+  /// comparator's decision for plan index `idx` (consuming its noise entry,
+  /// when noise is on) and landed in the metastable band. Replays the scalar
+  /// slow path — resync the stream, draw the Bernoulli at its scalar
+  /// position, refill plan entries (idx+1, len) — and returns the ±1
+  /// decision, updating the hysteresis memory exactly as decide() would.
   [[nodiscard]] int decide_metastable_at(std::size_t idx) noexcept {
-    plan_idx_ = idx + (config_.noise_vrms > 0.0 ? 1 : 0);
-    last_ = planned_metastable_() ? 1 : -1;
+    last_ = planned_metastable_(idx + (config_.noise_vrms > 0.0 ? 1 : 0)) ? 1 : -1;
     return last_;
   }
 
-  /// Writes the hysteresis memory back after a vectorized block, where the
-  /// per-clock decisions lived in the bank's SoA state. `last` must be ±1.
+  /// Writes the hysteresis memory back after a kernel block, where the
+  /// per-clock decisions lived in the kernel's state. `last` must be ±1.
   void set_last_decision(int last) noexcept { last_ = last; }
 
   [[nodiscard]] int last_decision() const noexcept { return last_; }
@@ -102,8 +83,9 @@ class Comparator {
   void restore(CheckpointReader& in);
 
  private:
-  /// Slow path: metastable Bernoulli during a planned block (see plan()).
-  bool planned_metastable_() noexcept;
+  /// Slow path: metastable Bernoulli during a planned block, after
+  /// `consumed` plan entries (see plan()).
+  bool planned_metastable_(std::size_t consumed) noexcept;
 
   ComparatorConfig config_;
   Rng rng_;
@@ -113,7 +95,6 @@ class Comparator {
   // bulk-generated from it); it is what makes the metastable resync exact.
   double* plan_buf_{nullptr};
   std::size_t plan_len_{0};
-  std::size_t plan_idx_{0};
   std::size_t segment_start_{0};
   Rng plan_snapshot_{0};
 };

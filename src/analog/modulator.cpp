@@ -37,14 +37,37 @@ DeltaSigmaModulator::DeltaSigmaModulator(const ModulatorConfig& config)
   fb1_mismatch_ = 1.0 + mismatch_rng.gaussian(0.0, sigma);
   ref_mismatch_ = 1.0 + mismatch_rng.gaussian(0.0, sigma);
   g2_mismatch_ = 1.0 + mismatch_rng.gaussian(0.0, sigma);
-  // Block-path invariants: the clock phase is fixed by the config, so the
+  // Kernel invariants: the clock phase is fixed by the config, so the
   // exact-settle thresholds can be resolved once here instead of per clock.
+  using namespace bankkernel;
   dt_phase_s_ = 0.5 / config_.sampling_rate_hz;
-  clock_period_s_ = 1.0 / config_.sampling_rate_hz;
-  settle_exact1_v_ = opamp1_.full_settle_threshold(dt_phase_s_);
-  settle_exact2_v_ = opamp2_.full_settle_threshold(dt_phase_s_);
-  swing1_v_ = config_.opamp1.output_swing_v;
-  swing2_v_ = config_.opamp2.output_swing_v;
+  in_[kG1] = config_.loop.g1;
+  in_[kA1] = config_.loop.a1;
+  // step_normalized's delta2 is (g2 · g2_mismatch_) · x1_prev under left
+  // association, so pre-multiplying is exact.
+  in_[kP2] = config_.loop.g2 * g2_mismatch_;
+  in_[kA2] = config_.loop.a2;
+  in_[kScale] = config_.loop.state_scale_v;
+  in_[kLeak1] = opamp1_.leak_factor();
+  in_[kLeak2] = opamp2_.leak_factor();
+  in_[kSwing1] = config_.opamp1.output_swing_v;
+  in_[kSwing2] = config_.opamp2.output_swing_v;
+  in_[kSettle1] = opamp1_.full_settle_threshold(dt_phase_s_);
+  in_[kSettle2] = opamp2_.full_settle_threshold(dt_phase_s_);
+  in_[kCompOffset] = config_.comparator.offset_v;
+  // Comparator::decide's 0.5 · h · (−last) is left-associated, so
+  // pre-multiplying is exact.
+  in_[kCompHalfHyst] = 0.5 * config_.comparator.hysteresis_v;
+  in_[kCompBand] = config_.comparator.metastable_band_v;
+  in_[kClockPeriod] = 1.0 / config_.sampling_rate_hz;  // step_normalized's exact double
+  const bool order2 = config_.order == 2;
+  source_on_ = {config_.enable_ktc_noise,
+                config_.ref_noise_vrms > 0.0,
+                config_.opamp1.noise_vrms > 0.0,
+                flicker_scale1_ > 0.0,
+                order2 && config_.opamp2.noise_vrms > 0.0,
+                order2 && flicker_scale2_ > 0.0,
+                config_.comparator.noise_vrms > 0.0};
   noise_plan_fills_metric_ =
       &metrics::Registry::global().counter(metrics::names::kModulatorNoisePlanFills);
 }
@@ -183,8 +206,7 @@ DeltaSigmaModulator::CapacitiveInput DeltaSigmaModulator::capacitive_input_(
   const double q_fs = c_fb * config_.vref_v;
   const double q_sig = (c_sense_f - c_ref_f) * config_.vexc_v;
   in.u = q_sig / q_fs;
-  in.ktc = config_.enable_ktc_noise;
-  if (in.ktc) {
+  if (config_.enable_ktc_noise) {
     const double c_total = c_sense_f + c_ref_f + c_fb;
     const double q_sigma =
         std::sqrt(2.0 * units::k_boltzmann * config_.temperature_k * c_total * 2.0);
@@ -193,16 +215,9 @@ DeltaSigmaModulator::CapacitiveInput DeltaSigmaModulator::capacitive_input_(
   return in;
 }
 
-std::size_t DeltaSigmaModulator::shared_draws_per_clock_(bool ktc) const noexcept {
-  const bool ref_on = config_.ref_noise_vrms > 0.0;
-  const bool op1_on = config_.opamp1.noise_vrms > 0.0;
-  const bool op2_on = config_.order == 2 && config_.opamp2.noise_vrms > 0.0;
-  return static_cast<std::size_t>(ktc) + static_cast<std::size_t>(ref_on) +
-         static_cast<std::size_t>(op1_on) + static_cast<std::size_t>(op2_on);
-}
-
-void DeltaSigmaModulator::build_shared_plan_(std::size_t n, double sigma_u,
-                                             bool ktc, const double* raw) noexcept {
+void DeltaSigmaModulator::build_shared_plan_(
+    std::size_t n, double sigma_u, const double* raw, double* dst,
+    std::size_t source_stride, std::size_t clock_stride) const noexcept {
   // The shared stream's draw order per clock is [kT/C, ref, op-amp1,
   // op-amp2], each present only when its source is enabled — and
   // gaussian(mean, sigma) is an affine map over gaussian(), so the standard
@@ -210,78 +225,114 @@ void DeltaSigmaModulator::build_shared_plan_(std::size_t n, double sigma_u,
   // the SoA buffers applying each source's exact draw-site expression,
   // including its `0.0 +` (which turns a −0.0 product into +0.0, as the
   // scalar path's mean addition does).
-  const bool ref_on = config_.ref_noise_vrms > 0.0;
-  const bool op1_on = config_.opamp1.noise_vrms > 0.0;
-  const bool op2_on = config_.order == 2 && config_.opamp2.noise_vrms > 0.0;
+  using namespace bankkernel;
   const double vref = config_.vref_v;
   const double scale = config_.loop.state_scale_v;
+  double* const ktc_dst = dst + kKtc * source_stride;
+  double* const ref_dst = dst + kRef * source_stride;
+  double* const op1_dst = dst + kOp1 * source_stride;
+  double* const op2_dst = dst + kOp2 * source_stride;
   std::size_t j = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ktc) plan_.ktc[i] = 0.0 + sigma_u * raw[j++];
-    if (ref_on) plan_.ref[i] = (0.0 + config_.ref_noise_vrms * raw[j++]) / vref;
-    if (op1_on) plan_.op1[i] = (0.0 + config_.opamp1.noise_vrms * raw[j++]) / scale;
-    if (op2_on) plan_.op2[i] = (0.0 + config_.opamp2.noise_vrms * raw[j++]) / scale;
+  for (std::size_t i = 0, o = 0; i < n; ++i, o += clock_stride) {
+    if (source_on_[kKtc]) ktc_dst[o] = 0.0 + sigma_u * raw[j++];
+    if (source_on_[kRef]) ref_dst[o] = (0.0 + config_.ref_noise_vrms * raw[j++]) / vref;
+    if (source_on_[kOp1]) op1_dst[o] = (0.0 + config_.opamp1.noise_vrms * raw[j++]) / scale;
+    if (source_on_[kOp2]) op2_dst[o] = (0.0 + config_.opamp2.noise_vrms * raw[j++]) / scale;
   }
 }
 
-void DeltaSigmaModulator::apply_flicker_scale1_(std::size_t n) noexcept {
+void DeltaSigmaModulator::scale_flicker_(double* flick, double flicker_scale,
+                                         std::size_t n) const noexcept {
   const double scale = config_.loop.state_scale_v;
-  for (std::size_t i = 0; i < n; ++i) {
-    plan_.flick1[i] = plan_.flick1[i] * flicker_scale1_ / scale;
-  }
+  for (std::size_t i = 0; i < n; ++i) flick[i] = flick[i] * flicker_scale / scale;
 }
 
-void DeltaSigmaModulator::apply_flicker_scale2_(std::size_t n) noexcept {
-  const double scale = config_.loop.state_scale_v;
-  for (std::size_t i = 0; i < n; ++i) {
-    plan_.flick2[i] = plan_.flick2[i] * flicker_scale2_ / scale;
-  }
-}
-
-void DeltaSigmaModulator::finish_plan_(std::size_t n, bool ktc) noexcept {
-  plan_.len = n;
-  plan_.idx = 0;
-  plan_.ktc_on = ktc;
-  plan_.ref_on = config_.ref_noise_vrms > 0.0;
-  plan_.op1_on = config_.opamp1.noise_vrms > 0.0;
-  plan_.flick1_on = flicker_scale1_ > 0.0;
-  plan_.op2_on = config_.order == 2 && config_.opamp2.noise_vrms > 0.0;
-  plan_.flick2_on = config_.order == 2 && flicker_scale2_ > 0.0;
-  noise_plan_fills_metric_->add(1);  // frame rate — inside the hot-path contract
-}
-
-void DeltaSigmaModulator::fill_noise_plan_(std::size_t n, double sigma_u,
-                                           bool ktc) noexcept {
+void DeltaSigmaModulator::fill_noise_plan_(std::size_t n, double sigma_u) noexcept {
   // Generate the whole frame's worth of shared-stream normals in a single
   // bulk fill (same end state as the interleaved scalar draws), then
   // de-interleave. See build_shared_plan_.
-  double raw[4 * NoisePlan::kFrame];
-  rng_.fill_gaussian(raw, n * shared_draws_per_clock_(ktc));
-  build_shared_plan_(n, sigma_u, ktc, raw);
-  if (flicker_scale1_ > 0.0) {
-    flicker1_.fill_next(plan_.flick1.data(), n);
-    apply_flicker_scale1_(n);
+  using namespace bankkernel;
+  double raw[4 * kPlanFrame];
+  rng_.fill_gaussian(raw, n * shared_draws_per_clock_());
+  build_shared_plan_(n, sigma_u, raw, plan_.data(), kPlanFrame, 1);
+  if (source_on_[kFl1]) {
+    flicker1_.fill_next(plan_of_(kFl1), n);
+    scale_flicker_(plan_of_(kFl1), flicker_scale1_, n);
   }
-  if (config_.order == 2 && flicker_scale2_ > 0.0) {
-    flicker2_.fill_next(plan_.flick2.data(), n);
-    apply_flicker_scale2_(n);
+  if (source_on_[kFl2]) {
+    flicker2_.fill_next(plan_of_(kFl2), n);
+    scale_flicker_(plan_of_(kFl2), flicker_scale2_, n);
   }
-  comparator_.plan(plan_.comp.data(), n);
-  finish_plan_(n, ktc);
+  if (Rng* stream = comparator_.plan(plan_of_(kComp), n)) {
+    stream->fill_gaussian(plan_of_(kComp), n, 0.0, config_.comparator.noise_vrms);
+  }
+  noise_plan_fills_metric_->add(1);  // frame rate — inside the hot-path contract
+}
+
+bankkernel::PacketView DeltaSigmaModulator::kernel_view_() noexcept {
+  using namespace bankkernel;
+  PacketView v;
+  v.width = 1;
+  v.state[kX1] = &x1_;
+  v.state[kX2] = &x2_;
+  v.state[kD] = &kernel_.d;
+  v.state[kLast] = &kernel_.last;
+  v.state[kTime] = &time_s_;
+  v.state[kMax1] = &max_x1_;
+  v.state[kMax2] = &max_x2_;
+  v.state[kClips] = &kernel_.clips;
+  for (std::size_t f = 0; f < kNumInvariant; ++f) v.in[f] = &in_[f];
+  for (std::size_t src = 0; src < kNumSource; ++src) {
+    v.noise[src] = source_on_[src] ? plan_of_(static_cast<Source>(src)) : nullptr;
+  }
+  v.order2 = config_.order == 2;
+  v.settling = config_.enable_settling;
+  v.bits = &kernel_.bits;
+  v.ctx = this;
+  v.settle_fn = &DeltaSigmaModulator::settle_cb_;
+  v.metastable_fn = &DeltaSigmaModulator::metastable_cb_;
+  return v;
+}
+
+void DeltaSigmaModulator::load_kernel_(double u) noexcept {
+  in_[bankkernel::kU] = u;
+  kernel_.d = static_cast<double>(bit_);
+  kernel_.last = static_cast<double>(comparator_.last_decision());
+  kernel_.clips = 0.0;  // per-block count, added to clip_count_ after
+}
+
+void DeltaSigmaModulator::store_kernel_() noexcept {
+  bit_ = static_cast<int>(kernel_.d);
+  comparator_.set_last_decision(static_cast<int>(kernel_.last));
+  clip_count_ += static_cast<std::size_t>(kernel_.clips);
+}
+
+double DeltaSigmaModulator::settle_cb_(void* ctx, std::size_t /*slot*/,
+                                       int stage, double v) {
+  const auto& m = *static_cast<const DeltaSigmaModulator*>(ctx);
+  return (stage == 1 ? m.opamp1_ : m.opamp2_).settle(v, m.dt_phase_s_);
+}
+
+double DeltaSigmaModulator::metastable_cb_(void* ctx, std::size_t /*slot*/,
+                                           std::size_t clock) {
+  auto& m = *static_cast<DeltaSigmaModulator*>(ctx);
+  return static_cast<double>(m.comparator_.decide_metastable_at(clock));
 }
 
 void DeltaSigmaModulator::step_capacitive_block(double c_sense_f, double c_ref_f,
                                                 int* bits_out, std::size_t n) {
   const CapacitiveInput in = capacitive_input_(c_sense_f, c_ref_f);
+  bankkernel::PacketView view = kernel_view_();
+  load_kernel_(in.u);
   while (n > 0) {
-    const std::size_t frame = std::min<std::size_t>(n, NoisePlan::kFrame);
-    fill_noise_plan_(frame, in.sigma_u, in.ktc);
-    for (std::size_t i = 0; i < frame; ++i) {
-      bits_out[i] = step_planned_(in.u);
-    }
+    const std::size_t frame = std::min<std::size_t>(n, kPlanFrame);
+    fill_noise_plan_(frame, in.sigma_u);
+    kernel_.bits = bits_out;
+    bankkernel::run_packets_scalar(&view, 1, frame);
     bits_out += frame;
     n -= frame;
   }
+  store_kernel_();
 }
 
 std::vector<int> DeltaSigmaModulator::run_voltage(
@@ -352,7 +403,45 @@ void DeltaSigmaModulator::restore(CheckpointReader& in) {
   flicker1_.restore(in);
   flicker2_.restore(in);
   comparator_.restore(in);
-  plan_.len = plan_.idx = 0;  // transient: plans never span a checkpoint
 }
 
+namespace bankkernel {
+namespace {
+
+/// Width-1 policy: plain doubles, so each op is the scalar expression itself.
+struct VecScalar {
+  static constexpr std::size_t kW = 1;
+  using D = double;
+  using M = bool;
+
+  static D load(const double* ptr) noexcept { return *ptr; }
+  static void store(double* ptr, D v) noexcept { *ptr = v; }
+  static D zero() noexcept { return 0.0; }
+  static D one() noexcept { return 1.0; }
+  static D add(D a, D b) noexcept { return a + b; }
+  static D sub(D a, D b) noexcept { return a - b; }
+  static D mul(D a, D b) noexcept { return a * b; }
+  static D div(D a, D b) noexcept { return a / b; }
+  static D abs(D a) noexcept { return std::abs(a); }
+  static D neg(D a) noexcept { return -a; }
+  /// mask ? a : b
+  static D select(M mask, D a, D b) noexcept { return mask ? a : b; }
+  static M cmp_lt(D a, D b) noexcept { return a < b; }
+  static M cmp_ge(D a, D b) noexcept { return a >= b; }
+  static M cmp_eq(D a, D b) noexcept { return a == b; }
+  static M cmp_neq(D a, D b) noexcept { return a != b; }
+  static M cmp_nle(D a, D b) noexcept { return !(a <= b); }
+  static bool any(M mask) noexcept { return mask; }
+  static unsigned mask(M m) noexcept { return m ? 1u : 0u; }
+  static unsigned ctz(unsigned /*m*/) noexcept { return 0; }
+};
+
+}  // namespace
+
+void run_packets_scalar(PacketView* packets, std::size_t n_packets,
+                        std::size_t n_clocks) {
+  run_packets<VecScalar>(packets, n_packets, n_clocks);
+}
+
+}  // namespace bankkernel
 }  // namespace tono::analog

@@ -21,6 +21,12 @@
 // settling), op-amp thermal noise, comparator offset/hysteresis/
 // metastability, clock jitter (voltage mode), reference noise, capacitor
 // mismatch, and integrator output clipping.
+//
+// The loop recurrence has exactly two implementations: step_normalized, the
+// per-clock reference behind step_voltage / step_capacitive, and the planned
+// step kernel of bank_kernel.hpp, which step_capacitive_block runs at width 1
+// and ModulatorBank at widths 1, 2 and 4. The tests hold the kernel to the
+// reference bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +37,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/analog/bank_kernel.hpp"
 #include "src/analog/comparator.hpp"
 #include "src/analog/opamp.hpp"
 #include "src/common/metrics.hpp"
@@ -103,15 +110,13 @@ class DeltaSigmaModulator {
 
   /// Runs `n` clocks in capacitive mode at fixed sensor/reference
   /// capacitances, writing the ±1 bitstream to `bits_out` (room for n).
-  /// Bit-identical to n step_capacitive(c_sense_f, c_ref_f) calls, but
-  /// restructured around a per-frame noise plan: every Gaussian the frame
-  /// will consume is pre-drawn into SoA buffers (one per source, in the
-  /// exact interleaved order the scalar path draws them — see
-  /// fill_noise_plan_), and the per-clock loop reduces to the ~10-flop loop
-  /// recurrence plus buffer reads. Op-amp settling is additionally skipped
-  /// whenever the step provably settles exactly (OpAmp::full_settle_threshold
-  /// against the config-fixed clock phase). This is the acquisition
-  /// pipeline's block hot path.
+  /// Bit-identical to n step_capacitive(c_sense_f, c_ref_f) calls. Per
+  /// 128-clock frame, every Gaussian the frame will consume is pre-drawn into
+  /// a noise plan (one SoA buffer per source, in the exact interleaved order
+  /// the scalar path draws them — see fill_noise_plan_), and the frame runs
+  /// through the planned step kernel (bank_kernel.hpp) at width 1 over this
+  /// modulator's own state: the same kernel a ModulatorBank packet runs. This
+  /// is the acquisition pipeline's block hot path.
   void step_capacitive_block(double c_sense_f, double c_ref_f, int* bits_out,
                              std::size_t n);
 
@@ -152,8 +157,8 @@ class DeltaSigmaModulator {
   /// Checkpointing: integrator states, output bit, clock, telemetry peaks,
   /// every noise stream (white, both flicker generators, comparator) and the
   /// runtime-switchable C_fb1. The per-die mismatch draws, settle thresholds
-  /// and LUT-free invariants are construction-time state and reproduce from
-  /// the config; the per-frame noise plan is transient (checkpoints are
+  /// and other kernel invariants are construction-time state and reproduce
+  /// from the config; the per-frame noise plan is transient (checkpoints are
   /// taken between frames, when the plan is fully consumed).
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
@@ -163,144 +168,69 @@ class DeltaSigmaModulator {
 
   /// Shared loop update; `u` is the normalized input (full scale ±1) and
   /// `extra_noise_u` is mode-specific input-referred noise. This is the
-  /// scalar reference implementation; step_planned_ must mirror it
-  /// expression-for-expression.
+  /// per-clock reference implementation; the planned kernel
+  /// (bank_kernel.hpp) must match it expression for expression.
   [[nodiscard]] int step_normalized(double u, double extra_noise_u);
 
   /// Per-sample flicker amplitude for one op-amp (0 if disabled).
   [[nodiscard]] double flicker_scale(const OpAmpConfig& amp) const noexcept;
 
-  /// One frame's worth of pre-drawn noise, SoA: one buffer per source. The
-  /// shared-stream sources (kT/C, reference, op-amp 1, op-amp 2) are
-  /// de-interleaved from a single bulk Rng::fill_gaussian; flicker and
-  /// comparator noise come from their own streams. Values are stored
-  /// post-scaling with each source's exact scalar draw-site expression, so
-  /// step_planned_ just adds them.
-  struct NoisePlan {
-    /// One decimated output sample per fill: OSR clocks at the paper's
-    /// operating point (128 kHz / 1 kS/s).
-    static constexpr std::size_t kFrame = 128;
-    std::array<double, kFrame> ktc;
-    std::array<double, kFrame> ref;
-    std::array<double, kFrame> op1;
-    std::array<double, kFrame> flick1;
-    std::array<double, kFrame> op2;
-    std::array<double, kFrame> flick2;
-    std::array<double, kFrame> comp;
-    std::size_t len{0};
-    std::size_t idx{0};
-    bool ktc_on{false};
-    bool ref_on{false};
-    bool op1_on{false};
-    bool flick1_on{false};
-    bool op2_on{false};
-    bool flick2_on{false};
-  };
+  /// Clocks per noise plan: one decimated output sample per fill, OSR
+  /// clocks at the paper's operating point (128 kHz / 1 kS/s).
+  static constexpr std::size_t kPlanFrame = 128;
 
   /// Capacitive-mode loop invariants, hoisted verbatim from step_capacitive.
   struct CapacitiveInput {
     double u{0.0};        ///< normalized input q_sig / q_fs
     double sigma_u{0.0};  ///< kT/C sigma in FS units (0 when disabled)
-    bool ktc{false};
   };
   [[nodiscard]] CapacitiveInput capacitive_input_(double c_sense_f,
                                                   double c_ref_f) const noexcept;
 
-  /// Fills plan_ for the next `n` clocks (n <= NoisePlan::kFrame), advancing
-  /// every noise stream exactly as n scalar steps would.
-  void fill_noise_plan_(std::size_t n, double sigma_u, bool ktc) noexcept;
+  /// Fills plan_ for the next `n` clocks (n <= kPlanFrame), advancing every
+  /// noise stream exactly as n scalar steps would.
+  void fill_noise_plan_(std::size_t n, double sigma_u) noexcept;
 
   // fill_noise_plan_ is split into the pieces below so the ModulatorBank can
   // drive the same plan construction with cross-lane batched Gaussian fills
-  // (Rng::fill_gaussian_multi): the bank bulk-draws each stream group for a
-  // whole lane packet, then calls the per-lane de-interleave/replay helpers.
-  // Scalar and bank paths share these bodies, so they cannot drift apart.
+  // (Rng::fill_gaussian_multi): the bank bulk-draws each stream group for all
+  // lanes, then calls the per-lane de-interleave helpers. Solo and bank paths
+  // share these bodies, so they cannot drift apart.
 
   /// Shared-stream (rng_) standard normals consumed per clock.
-  [[nodiscard]] std::size_t shared_draws_per_clock_(bool ktc) const noexcept;
-  /// De-interleaves a shared-stream raw fill (n * shared_draws_per_clock_
-  /// standard normals) into plan_.{ktc,ref,op1,op2} with each source's exact
-  /// draw-site expression.
-  void build_shared_plan_(std::size_t n, double sigma_u, bool ktc,
-                          const double* raw) noexcept;
-  /// Draw-site scaling of the unit pink samples in plan_.flick1 / flick2.
-  void apply_flicker_scale1_(std::size_t n) noexcept;
-  void apply_flicker_scale2_(std::size_t n) noexcept;
-  /// Plan flags, length, cursor and the fills metric.
-  void finish_plan_(std::size_t n, bool ktc) noexcept;
-
-  /// Planned twin of step_normalized: same expressions in the same order,
-  /// noise read from plan_ instead of drawn, settle() skipped when the step
-  /// is provably exact. Inline — this IS the block hot loop.
-  [[nodiscard]] int step_planned_(double u) noexcept {
-    const auto& lc = config_.loop;
-    const double scale = lc.state_scale_v;
-    const std::size_t i = plan_.idx++;
-
-    double ref_err_u = 0.0;
-    if (plan_.ref_on) ref_err_u = plan_.ref[i];
-    double extra_noise_u = 0.0;
-    if (plan_.ktc_on) extra_noise_u = plan_.ktc[i];
-
-    const double d = static_cast<double>(bit_);
-
-    const double u_total = u + extra_noise_u + ref_err_u * d;
-    double delta1 = lc.g1 * u_total - lc.a1 * d * (1.0 + ref_err_u);
-    if (plan_.op1_on) delta1 += plan_.op1[i];
-    if (plan_.flick1_on) delta1 += plan_.flick1[i];
-    if (config_.enable_settling) {
-      const double v1 = delta1 * scale;
-      if (std::abs(v1) <= settle_exact1_v_) {
-        // settle(v1, dt) would return v1 bit-for-bit here (see
-        // OpAmp::full_settle_threshold); settle(±0) returns +0.0.
-        delta1 = (v1 == 0.0 ? 0.0 : v1) / scale;
-      } else {
-        delta1 = opamp1_.settle(v1, dt_phase_s_) / scale;
-      }
-    }
-    const double x1_prev = x1_;
-    const double x1_new = opamp1_.leak_factor() * x1_ + delta1;
-    const double v_x1 = x1_new * scale;
-    // std::clamp, spelled out (clip() is out of line).
-    const double x1_clipped =
-        (v_x1 < -swing1_v_ ? -swing1_v_ : (swing1_v_ < v_x1 ? swing1_v_ : v_x1)) /
-        scale;
-    if (x1_clipped != x1_new) ++clip_count_;
-    x1_ = x1_clipped;
-
-    max_x1_ = std::max(max_x1_, std::abs(x1_ * scale));
-
-    if (config_.order == 1) {
-      bit_ = comparator_.decide_planned(x1_ * scale);
-      time_s_ += clock_period_s_;  // same double as 1.0 / sampling_rate_hz
-      return bit_;
-    }
-
-    double delta2 = lc.g2 * g2_mismatch_ * x1_prev - lc.a2 * d;
-    if (plan_.op2_on) delta2 += plan_.op2[i];
-    if (plan_.flick2_on) delta2 += plan_.flick2[i];
-    if (config_.enable_settling) {
-      const double v2 = delta2 * scale;
-      if (std::abs(v2) <= settle_exact2_v_) {
-        delta2 = (v2 == 0.0 ? 0.0 : v2) / scale;
-      } else {
-        delta2 = opamp2_.settle(v2, dt_phase_s_) / scale;
-      }
-    }
-    const double x2_new = opamp2_.leak_factor() * x2_ + delta2;
-    const double v_x2 = x2_new * scale;
-    const double x2_clipped =
-        (v_x2 < -swing2_v_ ? -swing2_v_ : (swing2_v_ < v_x2 ? swing2_v_ : v_x2)) /
-        scale;
-    if (x2_clipped != x2_new) ++clip_count_;
-    x2_ = x2_clipped;
-
-    max_x2_ = std::max(max_x2_, std::abs(x2_ * scale));
-
-    bit_ = comparator_.decide_planned(x2_ * scale);
-    time_s_ += clock_period_s_;  // same double as 1.0 / sampling_rate_hz
-    return bit_;
+  [[nodiscard]] std::size_t shared_draws_per_clock_() const noexcept {
+    using namespace bankkernel;
+    return static_cast<std::size_t>(source_on_[kKtc] + source_on_[kRef] +
+                                    source_on_[kOp1] + source_on_[kOp2]);
   }
+  /// De-interleaves a shared-stream raw fill (n * shared_draws_per_clock_
+  /// standard normals) with each source's exact draw-site expression into
+  /// `dst`: source s's value for clock i goes to
+  /// dst[s * source_stride + i * clock_stride] — plan_ at clock stride 1, or
+  /// a lane's slot in a W-wide bank packet's [clock][lane] buffers at W.
+  void build_shared_plan_(std::size_t n, double sigma_u, const double* raw,
+                          double* dst,
+                          std::size_t source_stride,
+                          std::size_t clock_stride) const noexcept;
+  /// Draw-site scaling of the unit pink samples in one flicker plan buffer.
+  void scale_flicker_(double* flick, double flicker_scale,
+                      std::size_t n) const noexcept;
+  /// Source s's buffer in plan_.
+  [[nodiscard]] double* plan_of_(bankkernel::Source s) noexcept {
+    return plan_.data() + s * kPlanFrame;
+  }
+
+  /// The 1-lane kernel view of this modulator: its own state, invariants and
+  /// plan_ buffers (stride 1). The view points into *this: rebuild it after
+  /// the modulator is copied or moved. load_kernel_ / store_kernel_ bracket a
+  /// block, moving the output bit, comparator memory and clip count to and
+  /// from the doubles the kernel keeps (kernel_).
+  [[nodiscard]] bankkernel::PacketView kernel_view_() noexcept;
+  void load_kernel_(double u) noexcept;
+  void store_kernel_() noexcept;
+  // The kernel's masked scalar escapes for this modulator (`ctx` is *this).
+  static double settle_cb_(void* ctx, std::size_t slot, int stage, double v);
+  static double metastable_cb_(void* ctx, std::size_t slot, std::size_t clock);
 
   ModulatorConfig config_;
   OpAmp opamp1_;
@@ -323,15 +253,27 @@ class DeltaSigmaModulator {
   double fb1_mismatch_{1.0};
   double ref_mismatch_{1.0};
   double g2_mismatch_{1.0};
-  // Block-path invariants, fixed at construction (dt is set by the clock).
-  NoisePlan plan_{};
-  double dt_phase_s_{0.0};       ///< one clock phase, 0.5 / fs
-  double clock_period_s_{0.0};   ///< cached 1.0 / fs (IEEE division — exact
-                                 ///< same double the scalar path recomputes)
-  double settle_exact1_v_{0.0};  ///< OpAmp::full_settle_threshold(dt) per stage
-  double settle_exact2_v_{0.0};
-  double swing1_v_{0.0};         ///< cached OpAmpConfig::output_swing_v
-  double swing2_v_{0.0};
+  /// One frame's worth of pre-drawn noise, SoA: source s (bankkernel::Source)
+  /// at [s * kPlanFrame + clock]. The shared-stream sources (kT/C, reference,
+  /// op-amp 1, op-amp 2) are de-interleaved from a single bulk
+  /// Rng::fill_gaussian; flicker and comparator noise come from their own
+  /// streams. Values are stored post-scaling with each source's exact scalar
+  /// draw-site expression, so the kernel just adds them.
+  std::array<double, bankkernel::kNumSource * kPlanFrame> plan_{};
+  // Kernel invariants, fixed at construction (dt is set by the clock).
+  /// Which noise sources exist, exactly as step_normalized enables them.
+  std::array<bool, bankkernel::kNumSource> source_on_{};
+  double dt_phase_s_{0.0};  ///< one clock phase, 0.5 / fs
+  /// The kernel's per-lane invariants (bankkernel::Invariant); kU is set per
+  /// block, the rest at construction.
+  std::array<double, bankkernel::kNumInvariant> in_{};
+  /// Block-scoped kernel scratch (see kernel_view_).
+  struct KernelScratch {
+    double d{1.0};      ///< bit_ as ±1.0
+    double last{1.0};   ///< comparator hysteresis memory as ±1.0
+    double clips{0.0};  ///< clipped updates this block
+    int* bits{nullptr};
+  } kernel_{};
   metrics::Counter* noise_plan_fills_metric_{nullptr};
 };
 

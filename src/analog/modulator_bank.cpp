@@ -21,6 +21,18 @@ std::vector<ModulatorConfig> derived_configs(const ModulatorConfig& base,
   return configs;
 }
 
+/// Control-structure key: lanes group into a packet iff equal. One bit per
+/// kernel branch (bank_kernel.hpp), read off a lane's own 1-lane view, so
+/// lanes sharing a key take identical per-packet branches and only their
+/// *values* differ.
+std::uint32_t structure_key(const bankkernel::PacketView& v) noexcept {
+  std::uint32_t key = (v.order2 ? 1u : 0u) | (v.settling ? 2u : 0u);
+  for (std::size_t s = 0; s < bankkernel::kNumSource; ++s) {
+    if (v.noise[s] != nullptr) key |= 4u << s;
+  }
+  return key;
+}
+
 }  // namespace
 
 ModulatorBank::ModulatorBank(const std::vector<ModulatorConfig>& configs) {
@@ -66,32 +78,17 @@ void ModulatorBank::init_metrics_() {
   simd_width_gauge_->set(static_cast<double>(width_));
 }
 
-std::uint32_t ModulatorBank::structure_key_(std::size_t k) const noexcept {
-  // One bit per kernel branch (bank_kernel.hpp): lanes sharing a key take
-  // identical per-packet branches, so only their *values* differ.
-  const DeltaSigmaModulator& lane = lanes_[k];
-  const ModulatorConfig& c = lane.config_;
-  const bool order2 = c.order == 2;
-  std::uint32_t key = 0;
-  key |= order2 ? 1u : 0u;
-  key |= c.enable_settling ? 2u : 0u;
-  key |= c.enable_ktc_noise ? 4u : 0u;
-  key |= c.ref_noise_vrms > 0.0 ? 8u : 0u;
-  key |= c.opamp1.noise_vrms > 0.0 ? 16u : 0u;
-  key |= lane.flicker_scale1_ > 0.0 ? 32u : 0u;
-  key |= (order2 && c.opamp2.noise_vrms > 0.0) ? 64u : 0u;
-  key |= (order2 && lane.flicker_scale2_ > 0.0) ? 128u : 0u;
-  key |= c.comparator.noise_vrms > 0.0 ? 256u : 0u;
-  return key;
-}
-
 void ModulatorBank::rebuild_packets_() {
+  using namespace bankkernel;
   packets_.clear();
-  scalar_lanes_.clear();
   views_.clear();
   lane_packet_.assign(lanes_.size(), kNoPacket);
   lane_slot_.assign(lanes_.size(), 0);
   packets_dirty_ = false;
+  // Each lane's own 1-lane view carries its control structure and
+  // invariants, and it is the view a lane outside every packet runs.
+  lane_views_.clear();
+  for (auto& lane : lanes_) lane_views_.push_back(lane.kernel_view_());
   if (width_ > 1) {
     // Group enabled lanes by control structure, preserving lane order within
     // each group, then cut each group into full-width packets. Group order
@@ -99,7 +96,7 @@ void ModulatorBank::rebuild_packets_() {
     std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> groups;
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
       if (!enabled_[k]) continue;
-      const std::uint32_t key = structure_key_(k);
+      const std::uint32_t key = structure_key(lane_views_[k]);
       auto it = std::find_if(groups.begin(), groups.end(),
                              [key](const auto& g) { return g.first == key; });
       if (it == groups.end()) {
@@ -109,113 +106,55 @@ void ModulatorBank::rebuild_packets_() {
       }
     }
     for (const auto& [key, members] : groups) {
-      std::size_t i = 0;
-      for (; i + width_ <= members.size(); i += width_) {
+      for (std::size_t i = 0; i + width_ <= members.size(); i += width_) {
         Packet p;
         p.owner = this;
-        p.order2 = (key & 1u) != 0;
-        p.settling = (key & 2u) != 0;
-        p.ktc_on = (key & 4u) != 0;
-        p.ref_on = (key & 8u) != 0;
-        p.op1_on = (key & 16u) != 0;
-        p.fl1_on = (key & 32u) != 0;
-        p.op2_on = (key & 64u) != 0;
-        p.fl2_on = (key & 128u) != 0;
-        p.comp_on = (key & 256u) != 0;
         for (std::size_t w = 0; w < width_; ++w) {
           const std::size_t lk = members[i + w];
-          const DeltaSigmaModulator& lane = lanes_[lk];
           p.lane[w] = lk;
           lane_packet_[lk] = packets_.size();
           lane_slot_[lk] = w;
-          p.g1[w] = lane.config_.loop.g1;
-          p.a1[w] = lane.config_.loop.a1;
-          // Scalar delta2 is (g2 * g2_mismatch_) * x1_prev under left
-          // association; pre-multiplying the first product is exact.
-          p.p2[w] = lane.config_.loop.g2 * lane.g2_mismatch_;
-          p.a2[w] = lane.config_.loop.a2;
-          p.scale[w] = lane.config_.loop.state_scale_v;
-          p.leak1[w] = lane.opamp1_.leak_factor();
-          p.leak2[w] = lane.opamp2_.leak_factor();
-          p.swing1[w] = lane.swing1_v_;
-          p.swing2[w] = lane.swing2_v_;
-          p.settle1[w] = lane.settle_exact1_v_;
-          p.settle2[w] = lane.settle_exact2_v_;
-          p.comp_offset[w] = lane.comparator_.config().offset_v;
-          // Scalar: 0.5 * hysteresis_v * (−last) — left-associated, so the
-          // 0.5·h product is exact to pre-compute.
-          p.comp_halfhyst[w] = 0.5 * lane.comparator_.config().hysteresis_v;
-          p.comp_band[w] = lane.comparator_.config().metastable_band_v;
-          p.clock_period[w] = lane.clock_period_s_;
+          for (std::size_t f = 0; f < kNumInvariant; ++f) p.in[f][w] = lanes_[lk].in_[f];
         }
+        const PacketView& s = lane_views_[members[i]];
+        p.fuse4 = level_ == simd::Level::kAvx2 && s.noise[kKtc] && s.noise[kRef] &&
+                  s.noise[kOp1] && s.noise[kOp2];
         packets_.push_back(p);
       }
-      for (; i < members.size(); ++i) scalar_lanes_.push_back(members[i]);
-    }
-    std::sort(scalar_lanes_.begin(), scalar_lanes_.end());
-  } else {
-    for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      if (enabled_[k]) scalar_lanes_.push_back(k);
     }
   }
-  views_.resize(packets_.size());
-  for (std::size_t pi = 0; pi < packets_.size(); ++pi) {
-    Packet& p = packets_[pi];
-    bankkernel::PacketView& v = views_[pi];
+  for (Packet& p : packets_) {
+    // The packet's structure is its lanes' (they share a key); every pointer
+    // moves to the packet's SoA storage.
+    PacketView v = lane_views_[p.lane[0]];
     v.width = width_;
-    v.x1 = p.x1.data();
-    v.x2 = p.x2.data();
-    v.d = p.d.data();
-    v.last = p.last.data();
-    v.time_s = p.time_s.data();
-    v.max1 = p.max1.data();
-    v.max2 = p.max2.data();
-    v.clips = p.clips.data();
-    v.u = p.u.data();
-    v.g1 = p.g1.data();
-    v.a1 = p.a1.data();
-    v.p2 = p.p2.data();
-    v.a2 = p.a2.data();
-    v.scale = p.scale.data();
-    v.leak1 = p.leak1.data();
-    v.leak2 = p.leak2.data();
-    v.swing1 = p.swing1.data();
-    v.swing2 = p.swing2.data();
-    v.settle1 = p.settle1.data();
-    v.settle2 = p.settle2.data();
-    v.comp_offset = p.comp_offset.data();
-    v.comp_halfhyst = p.comp_halfhyst.data();
-    v.comp_band = p.comp_band.data();
-    v.clock_period = p.clock_period.data();
-    v.ktc = p.ktc_on ? p.ktc.data() : nullptr;
-    v.ref = p.ref_on ? p.ref.data() : nullptr;
-    v.op1 = p.op1_on ? p.op1.data() : nullptr;
-    v.fl1 = p.fl1_on ? p.fl1.data() : nullptr;
-    v.op2 = p.op2_on ? p.op2.data() : nullptr;
-    v.fl2 = p.fl2_on ? p.fl2.data() : nullptr;
-    v.comp = p.comp_on ? p.comp.data() : nullptr;
-    v.order2 = p.order2;
-    v.settling = p.settling;
+    for (std::size_t f = 0; f < kNumState; ++f) v.state[f] = p.state[f].data();
+    for (std::size_t f = 0; f < kNumInvariant; ++f) v.in[f] = p.in[f].data();
+    for (std::size_t s = 0; s < kNumSource; ++s) {
+      if (v.noise[s] != nullptr) v.noise[s] = p.noise.data() + s * kPlanStride;
+    }
     v.bits = p.bits.data();
     v.ctx = &p;
     v.settle_fn = &ModulatorBank::settle_cb_;
     v.metastable_fn = &ModulatorBank::metastable_cb_;
+    views_.push_back(v);
+  }
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (narrow_(k)) views_.push_back(lane_views_[k]);
   }
 }
 
 void ModulatorBank::load_packet_state_() {
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (enabled_[k]) lanes_[k].load_kernel_(inputs_[k].u);
+  }
   for (Packet& p : packets_) {
     for (std::size_t w = 0; w < width_; ++w) {
-      DeltaSigmaModulator& lane = lanes_[p.lane[w]];
-      p.u[w] = inputs_[p.lane[w]].u;
-      p.x1[w] = lane.x1_;
-      p.x2[w] = lane.x2_;
-      p.d[w] = static_cast<double>(lane.bit_);
-      p.last[w] = static_cast<double>(lane.comparator_.last_decision());
-      p.time_s[w] = lane.time_s_;
-      p.max1[w] = lane.max_x1_;
-      p.max2[w] = lane.max_x2_;
-      p.clips[w] = 0.0;  // per-block count, added to the lane's total after
+      const bankkernel::PacketView& lane = lane_views_[p.lane[w]];
+      for (std::size_t f = 0; f < bankkernel::kNumState; ++f) {
+        p.state[f][w] = *lane.state[f];
+      }
+      p.in[bankkernel::kU][w] = inputs_[p.lane[w]].u;
     }
   }
 }
@@ -223,17 +162,34 @@ void ModulatorBank::load_packet_state_() {
 void ModulatorBank::store_packet_state_() {
   for (Packet& p : packets_) {
     for (std::size_t w = 0; w < width_; ++w) {
-      DeltaSigmaModulator& lane = lanes_[p.lane[w]];
-      lane.x1_ = p.x1[w];
-      lane.x2_ = p.x2[w];
-      lane.bit_ = static_cast<int>(p.d[w]);
-      lane.comparator_.set_last_decision(static_cast<int>(p.last[w]));
-      lane.time_s_ = p.time_s[w];
-      lane.max_x1_ = p.max1[w];
-      lane.max_x2_ = p.max2[w];
-      lane.clip_count_ += static_cast<std::size_t>(p.clips[w]);
+      const bankkernel::PacketView& lane = lane_views_[p.lane[w]];
+      for (std::size_t f = 0; f < bankkernel::kNumState; ++f) {
+        *lane.state[f] = p.state[f][w];
+      }
     }
   }
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (enabled_[k]) lanes_[k].store_kernel_();
+  }
+}
+
+template <class Pick>
+void ModulatorBank::fill_batched_(Pick pick) {
+  fill_rngs_.clear();
+  fill_dests_.clear();
+  fill_ns_.clear();
+  fill_lanes_.clear();
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (!enabled_[k]) continue;
+    const Fill f = pick(k);
+    if (f.n == 0) continue;
+    fill_rngs_.push_back(f.rng);
+    fill_dests_.push_back(f.dest);
+    fill_ns_.push_back(f.n);
+    fill_lanes_.push_back(k);
+  }
+  Rng::fill_gaussian_multi(fill_rngs_.data(), fill_dests_.data(),
+                           fill_ns_.data(), fill_rngs_.size());
 }
 
 void ModulatorBank::fill_lane_plans_(std::size_t frame) {
@@ -242,189 +198,103 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   // streams are distinct objects, so batching changes neither any stream's
   // output nor its end state (multi == per-stream fill_gaussian, pinned by
   // test_rng.cpp), and the groups run in the same per-lane order as the
-  // scalar helper. Zero-length fills are skipped on both paths (no-ops).
-  const std::size_t K = lanes_.size();
+  // solo helper. Zero-length fills are skipped on both paths (no-ops).
+  using namespace bankkernel;
 
   // Shared white stream: kT/C + reference + op-amp noise, interleaved.
-  fill_rngs_.clear();
-  fill_dests_.clear();
-  fill_ns_.clear();
-  fill_lanes_.clear();
-  for (std::size_t k = 0; k < K; ++k) {
-    if (!enabled_[k]) continue;
-    const std::size_t count =
-        frame * lanes_[k].shared_draws_per_clock_(inputs_[k].ktc);
-    if (count == 0) continue;
-    fill_rngs_.push_back(&lanes_[k].rng_);
-    fill_dests_.push_back(shared_raw_.data() + k * 4 * kFrame);
-    fill_ns_.push_back(count);
-    fill_lanes_.push_back(k);
-  }
-  Rng::fill_gaussian_multi(fill_rngs_.data(), fill_dests_.data(),
-                           fill_ns_.data(), fill_rngs_.size());
-  // Packet lanes skip the NoisePlan arrays: fuse_shared_packet_plans_ writes
-  // their scaled values straight into the transposed packet buffers. Only
-  // scalar-stepped lanes (which consume through step_planned_) de-interleave
-  // into plan_.
+  fill_batched_([&](std::size_t k) {
+    return Fill{&lanes_[k].rng_, shared_raw_.data() + k * 4 * kFrame,
+                frame * lanes_[k].shared_draws_per_clock_()};
+  });
+  // De-interleave: packet lanes write their scaled values straight into the
+  // transposed packet buffers (their plan_ stays unused), 1-lane views into
+  // their own plan_.
   for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
     const std::size_t k = fill_lanes_[j];
-    if (lane_packet_[k] != kNoPacket) continue;
-    lanes_[k].build_shared_plan_(frame, inputs_[k].sigma_u, inputs_[k].ktc,
-                                 fill_dests_[j]);
+    DeltaSigmaModulator& lane = lanes_[k];
+    if (lane_packet_[k] == kNoPacket) {
+      lane.build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
+                              lane.plan_.data(), kFrame, 1);
+      continue;
+    }
+    Packet& p = packets_[lane_packet_[k]];
+    if (p.fuse4) continue;  // the whole packet at once, below
+    lane.build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
+                            p.noise.data() + lane_slot_[k], kPlanStride, width_);
   }
-  fuse_shared_packet_plans_(frame);
+#if defined(TONO_SIMD_AVX2)
+  for (Packet& p : packets_) {
+    if (!p.fuse4) continue;
+    SharedFuseJob job;
+    for (std::size_t w = 0; w < width_; ++w) {
+      const std::size_t lk = p.lane[w];
+      const DeltaSigmaModulator& lane = lanes_[lk];
+      job.raw[w] = shared_raw_.data() + lk * 4 * kFrame;
+      job.sigma_u[w] = inputs_[lk].sigma_u;
+      job.ref_vrms[w] = lane.config_.ref_noise_vrms;
+      job.vref[w] = lane.config_.vref_v;
+      job.op1_vrms[w] = lane.config_.opamp1.noise_vrms;
+      job.op2_vrms[w] = lane.config_.opamp2.noise_vrms;
+      job.scale[w] = lane.config_.loop.state_scale_v;
+    }
+    job.ktc = p.noise.data() + kKtc * kPlanStride;
+    job.ref = p.noise.data() + kRef * kPlanStride;
+    job.op1 = p.noise.data() + kOp1 * kPlanStride;
+    job.op2 = p.noise.data() + kOp2 * kPlanStride;
+    fuse_shared4_avx2(job, frame);
+  }
+#endif
 
   // Flicker streams: one standard normal per sample; the Voss-McCartney row
   // replay happens per lane from the batch-drawn values.
-  for (int stage = 1; stage <= 2; ++stage) {
-    fill_rngs_.clear();
-    fill_dests_.clear();
-    fill_ns_.clear();
-    fill_lanes_.clear();
-    for (std::size_t k = 0; k < K; ++k) {
-      if (!enabled_[k]) continue;
+  for (const Source src : {kFl1, kFl2}) {
+    fill_batched_([&](std::size_t k) {
       DeltaSigmaModulator& lane = lanes_[k];
-      const bool on = stage == 1
-                          ? lane.flicker_scale1_ > 0.0
-                          : (lane.config_.order == 2 && lane.flicker_scale2_ > 0.0);
-      if (!on) continue;
-      PinkNoise& flicker = stage == 1 ? lane.flicker1_ : lane.flicker2_;
-      fill_rngs_.push_back(&flicker.noise_stream());
-      fill_dests_.push_back(flicker_raw_.data() + k * kFrame);
-      fill_ns_.push_back(frame);
-      fill_lanes_.push_back(k);
-    }
-    Rng::fill_gaussian_multi(fill_rngs_.data(), fill_dests_.data(),
-                             fill_ns_.data(), fill_rngs_.size());
+      PinkNoise& flicker = src == kFl1 ? lane.flicker1_ : lane.flicker2_;
+      return Fill{&flicker.noise_stream(), flicker_raw_.data() + k * kFrame,
+                  lane.source_on_[src] ? frame : 0};
+    });
     for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
       DeltaSigmaModulator& lane = lanes_[fill_lanes_[j]];
-      if (stage == 1) {
-        lane.flicker1_.fill_next_from(fill_dests_[j], lane.plan_.flick1.data(),
-                                      frame);
-        lane.apply_flicker_scale1_(frame);
-      } else {
-        lane.flicker2_.fill_next_from(fill_dests_[j], lane.plan_.flick2.data(),
-                                      frame);
-        lane.apply_flicker_scale2_(frame);
-      }
+      double* plan = lane.plan_of_(src);
+      (src == kFl1 ? lane.flicker1_ : lane.flicker2_)
+          .fill_next_from(fill_dests_[j], plan, frame);
+      lane.scale_flicker_(
+          plan, src == kFl1 ? lane.flicker_scale1_ : lane.flicker_scale2_, frame);
     }
   }
 
-  // Comparator noise: plan_external does plan()'s bookkeeping (snapshot for
-  // the metastable resync) and hands back the stream; the standard normals
-  // are batch-drawn straight into each lane's plan buffer, then mapped with
-  // the same affine fill_gaussian(…, 0.0, σ) applies.
-  fill_rngs_.clear();
-  fill_dests_.clear();
-  fill_ns_.clear();
-  fill_lanes_.clear();
-  for (std::size_t k = 0; k < K; ++k) {
-    if (!enabled_[k]) continue;
-    Rng* stream =
-        lanes_[k].comparator_.plan_external(lanes_[k].plan_.comp.data(), frame);
-    if (stream == nullptr) continue;  // noise off: nothing pre-drawn
-    fill_rngs_.push_back(stream);
-    fill_dests_.push_back(lanes_[k].plan_.comp.data());
-    fill_ns_.push_back(frame);
-    fill_lanes_.push_back(k);
-  }
-  Rng::fill_gaussian_multi(fill_rngs_.data(), fill_dests_.data(),
-                           fill_ns_.data(), fill_rngs_.size());
+  // Comparator noise: Comparator::plan hands back the stream; the standard
+  // normals are batch-drawn straight into each lane's plan buffer, then
+  // mapped with the same affine fill_gaussian(…, 0.0, σ) applies.
+  fill_batched_([&](std::size_t k) {
+    double* plan = lanes_[k].plan_of_(kComp);
+    Rng* stream = lanes_[k].comparator_.plan(plan, frame);
+    return Fill{stream, plan, stream != nullptr ? frame : 0};
+  });
   for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
-    const std::size_t k = fill_lanes_[j];
-    const double sigma = lanes_[k].comparator_.config().noise_vrms;
+    const double sigma = lanes_[fill_lanes_[j]].comparator_.config().noise_vrms;
     double* buf = fill_dests_[j];
-    if (lane_packet_[k] != kNoPacket) {
-      // Scale in place (the metastable resync regenerates tails from
-      // plan_.comp) and write the transposed kernel copy in the same pass.
-      Packet& p = packets_[lane_packet_[k]];
-      double* t = p.comp.data() + lane_slot_[k];
-      const std::size_t w_n = width_;
-      for (std::size_t i = 0; i < frame; ++i) {
-        const double x = 0.0 + sigma * buf[i];
-        buf[i] = x;
-        t[i * w_n] = x;
-      }
-    } else {
-      for (std::size_t i = 0; i < frame; ++i) buf[i] = 0.0 + sigma * buf[i];
-    }
+    for (std::size_t i = 0; i < frame; ++i) buf[i] = 0.0 + sigma * buf[i];
   }
 
-  for (std::size_t k = 0; k < K; ++k) {
-    if (enabled_[k]) lanes_[k].finish_plan_(frame, inputs_[k].ktc);
-  }
-}
+  std::size_t filled = 0;
+  for (std::size_t k = 0; k < lanes_.size(); ++k) filled += enabled_[k];
+  lanes_[0].noise_plan_fills_metric_->add(filled);  // one plan per lane
 
-void ModulatorBank::fuse_shared_packet_plans_(std::size_t frame) {
-  // build_shared_plan_'s de-interleave + per-source affine map, with the
-  // [clock] → [clock][lane] transpose folded in so each value is computed
-  // and stored exactly once. Expressions match the scalar draw sites
-  // verbatim (including the 0.0 + that normalizes −0.0 products), so every
-  // transposed value is bit-identical to the two-pass path it replaces.
-  const std::size_t w_n = width_;
-  for (Packet& p : packets_) {
-    if (!p.ktc_on && !p.ref_on && !p.op1_on && !p.op2_on) continue;
-#if defined(TONO_SIMD_AVX2)
-    if (level_ == simd::Level::kAvx2 && p.ktc_on && p.ref_on && p.op1_on &&
-        p.op2_on) {
-      bankkernel::SharedFuseJob job;
-      for (std::size_t w = 0; w < w_n; ++w) {
-        const std::size_t lk = p.lane[w];
-        const DeltaSigmaModulator& lane = lanes_[lk];
-        job.raw[w] = shared_raw_.data() + lk * 4 * kFrame;
-        job.sigma_u[w] = inputs_[lk].sigma_u;
-        job.ref_vrms[w] = lane.config_.ref_noise_vrms;
-        job.vref[w] = lane.config_.vref_v;
-        job.op1_vrms[w] = lane.config_.opamp1.noise_vrms;
-        job.op2_vrms[w] = lane.config_.opamp2.noise_vrms;
-        job.scale[w] = lane.config_.loop.state_scale_v;
-      }
-      job.ktc = p.ktc.data();
-      job.ref = p.ref.data();
-      job.op1 = p.op1.data();
-      job.op2 = p.op2.data();
-      bankkernel::fuse_shared4_avx2(job, frame);
-      continue;
-    }
-#endif
-    for (std::size_t w = 0; w < w_n; ++w) {
-      const std::size_t lk = p.lane[w];
-      const DeltaSigmaModulator& lane = lanes_[lk];
-      const double* raw = shared_raw_.data() + lk * 4 * kFrame;
-      const double su = inputs_[lk].sigma_u;
-      const double rv = lane.config_.ref_noise_vrms;
-      const double vref = lane.config_.vref_v;
-      const double o1 = lane.config_.opamp1.noise_vrms;
-      const double o2 = lane.config_.opamp2.noise_vrms;
-      const double sc = lane.config_.loop.state_scale_v;
-      std::size_t j = 0;
-      for (std::size_t i = 0; i < frame; ++i) {
-        if (p.ktc_on) p.ktc[i * w_n + w] = 0.0 + su * raw[j++];
-        if (p.ref_on) p.ref[i * w_n + w] = (0.0 + rv * raw[j++]) / vref;
-        if (p.op1_on) p.op1[i * w_n + w] = (0.0 + o1 * raw[j++]) / sc;
-        if (p.op2_on) p.op2[i * w_n + w] = (0.0 + o2 * raw[j++]) / sc;
-      }
-    }
-  }
-}
-
-void ModulatorBank::transpose_packet_plans_(std::size_t frame) {
-  // [clock] → [clock][lane] with stride = width_, for the plan-sourced
-  // arrays that still materialize per lane (the flicker stages, whose
-  // Voss-McCartney replay is inherently per-lane). Shared sources and
-  // comparator noise are written transposed at generation time. Disabled
-  // sources skip entirely (their view pointers are null, like the scalar
-  // path's untaken branches).
-  const std::size_t w_n = width_;
-  for (Packet& p : packets_) {
-    if (!p.fl1_on && !p.fl2_on) continue;
-    for (std::size_t w = 0; w < w_n; ++w) {
-      const auto& plan = lanes_[p.lane[w]].plan_;
-      if (p.fl1_on) {
-        for (std::size_t i = 0; i < frame; ++i) p.fl1[i * w_n + w] = plan.flick1[i];
-      }
-      if (p.fl2_on) {
-        for (std::size_t i = 0; i < frame; ++i) p.fl2[i * w_n + w] = plan.flick2[i];
+  // [clock] → [clock][lane] with stride = width_ for the packet plans that
+  // materialize per lane: the flicker stages, whose Voss-McCartney replay is
+  // inherently per-lane, and the comparator's, which the metastable resync
+  // regenerates in place. Disabled sources skip entirely (their view
+  // pointers are null, like step_normalized's untaken branches).
+  for (std::size_t pi = 0; pi < packets_.size(); ++pi) {
+    Packet& p = packets_[pi];
+    for (const Source src : {kFl1, kFl2, kComp}) {
+      if (views_[pi].noise[src] == nullptr) continue;
+      double* t = p.noise.data() + src * kPlanStride;
+      for (std::size_t w = 0; w < width_; ++w) {
+        const double* plan = lanes_[p.lane[w]].plan_of_(src);
+        for (std::size_t i = 0; i < frame; ++i) t[i * width_ + w] = plan[i];
       }
     }
   }
@@ -433,38 +303,26 @@ void ModulatorBank::transpose_packet_plans_(std::size_t frame) {
 double ModulatorBank::settle_cb_(void* ctx, std::size_t slot, int stage,
                                  double v) {
   Packet& p = *static_cast<Packet*>(ctx);
-  DeltaSigmaModulator& lane = p.owner->lanes_[p.lane[slot]];
-  const OpAmp& amp = stage == 1 ? lane.opamp1_ : lane.opamp2_;
-  return amp.settle(v, lane.dt_phase_s_);
+  return DeltaSigmaModulator::settle_cb_(&p.owner->lanes_[p.lane[slot]], 0,
+                                         stage, v);
 }
 
 double ModulatorBank::metastable_cb_(void* ctx, std::size_t slot,
                                      std::size_t clock) {
   Packet& p = *static_cast<Packet*>(ctx);
   DeltaSigmaModulator& lane = p.owner->lanes_[p.lane[slot]];
-  const int decision = lane.comparator_.decide_metastable_at(clock);
-  if (p.comp_on) {
+  const double decision = DeltaSigmaModulator::metastable_cb_(&lane, 0, clock);
+  if (lane.source_on_[bankkernel::kComp]) {
     // The resync regenerated the lane's linear plan tail (clock+1 …); the
     // kernel reads the transposed copy, so refresh it.
     const std::size_t w_n = p.owner->width_;
+    const double* plan = lane.plan_of_(bankkernel::kComp);
+    double* t = p.noise.data() + bankkernel::kComp * kPlanStride;
     for (std::size_t i = clock + 1; i < p.frame_len; ++i) {
-      p.comp[i * w_n + slot] = lane.plan_.comp[i];
+      t[i * w_n + slot] = plan[i];
     }
   }
-  return static_cast<double>(decision);
-}
-
-void ModulatorBank::step_scalar_lanes_(const std::vector<std::size_t>& lanes,
-                                       int* bits_out, std::size_t n_total,
-                                       std::size_t done, std::size_t frame) {
-  if (lanes.empty()) return;
-  // Clock-outer / lane-inner, so the lanes' independent FP chains overlap in
-  // the core instead of serializing (same scheduling the kernel uses).
-  for (std::size_t i = 0; i < frame; ++i) {
-    for (const std::size_t k : lanes) {
-      bits_out[k * n_total + done + i] = lanes_[k].step_planned_(inputs_[k].u);
-    }
-  }
+  return decision;
 }
 
 void ModulatorBank::step_capacitive_block(const double* c_sense_f,
@@ -472,26 +330,32 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f,
                                           std::size_t n) {
   metrics::TraceSpan span(*step_block_timer_);
   if (n == 0) return;
+  if (packets_dirty_) rebuild_packets_();
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     if (enabled_[k]) {
       inputs_[k] = lanes_[k].capacitive_input_(c_sense_f[k], c_ref_f[k]);
     }
   }
-  if (packets_dirty_) rebuild_packets_();
   load_packet_state_();
+  const std::size_t n_wide = packets_.size();
   std::size_t done = 0;
   while (done < n) {
     const std::size_t frame = std::min<std::size_t>(n - done, kFrame);
     fill_lane_plans_(frame);
-    transpose_packet_plans_(frame);
     for (Packet& p : packets_) {
       p.frame_len = frame;
       for (std::size_t w = 0; w < width_; ++w) {
         p.bits[w] = bits_out + p.lane[w] * n + done;
       }
     }
-    if (!packets_.empty()) kernel_(views_.data(), views_.size(), frame);
-    step_scalar_lanes_(scalar_lanes_, bits_out, n, done, frame);
+    for (std::size_t k = 0; k < lanes_.size(); ++k) {
+      if (narrow_(k)) lanes_[k].kernel_.bits = bits_out + k * n + done;
+    }
+    if (n_wide > 0) kernel_(views_.data(), n_wide, frame);
+    if (views_.size() > n_wide) {
+      bankkernel::run_packets_scalar(views_.data() + n_wide,
+                                     views_.size() - n_wide, frame);
+    }
     done += frame;
   }
   store_packet_state_();

@@ -7,14 +7,16 @@
 // The bank exploits that the lanes are *independent*: their per-clock loop
 // recurrences are K parallel dependency chains of elementwise IEEE
 // arithmetic, which map directly onto SIMD lanes. At construction the bank
-// resolves a kernel via simd::active_level() (AVX2 ×4, NEON ×2, or scalar —
-// overridable with the TONO_SIMD env knob) and groups lanes into width-W
-// *packets* of matching control structure; per frame it batch-generates
-// every packet's noise (one Rng::fill_gaussian_multi per source group),
-// transposes the plans to [clock][lane], and runs the width-W step kernel
-// (bank_kernel.hpp). Lanes that don't fill a packet — remainders,
-// heterogeneous structures, or banks built under a scalar dispatch — run the
-// original scalar lockstep.
+// resolves a kernel width via simd::active_level() (AVX2 ×4, NEON ×2, or
+// scalar ×1 — overridable with the TONO_SIMD env knob) and groups lanes into
+// width-W *packets* of matching control structure; per frame it
+// batch-generates every lane's noise (one Rng::fill_gaussian_multi per source
+// group), writes the packets' plans as [clock][lane], and runs the planned
+// step kernel (bank_kernel.hpp). Lanes that don't fill a W-wide packet —
+// remainders, heterogeneous structures, or every lane of a bank built under a
+// scalar dispatch — run through the same kernel as 1-wide packets: each is
+// its modulator's own 1-lane view, exactly as a solo step_capacitive_block
+// runs it, stepped clock-outer / lane-inner with the rest.
 //
 // Lane semantics — the contract tests pin:
 //   * each lane is a full DeltaSigmaModulator with its own config, seed and
@@ -22,10 +24,10 @@
 //   * lane k's bitstream is bit-identical to running that modulator alone
 //     through step_capacitive_block (and therefore to n scalar
 //     step_capacitive calls) — the bank changes scheduling, never values.
-//     This holds under EVERY dispatch level: the vector kernel mirrors
-//     step_planned_ expression for expression using only elementwise IEEE
-//     ops, and the two transcendental paths (op-amp partial settling,
-//     comparator metastability) drop to per-lane scalar callbacks;
+//     This holds under EVERY dispatch level: one kernel template runs at
+//     every width using only elementwise IEEE ops, and the two
+//     transcendental paths (op-amp partial settling, comparator
+//     metastability) drop to per-lane scalar callbacks;
 //   * outputs are lane-major: bits_out[k * n + i] is lane k, clock i;
 //   * a disabled lane (set_lane_enabled — element fault masking) is frozen:
 //     not stepped, no noise drawn, its bits region untouched. Re-enabling
@@ -54,6 +56,10 @@ class ModulatorBank {
   /// by the same golden-ratio salting Rng::fork uses. Lane 0 keeps
   /// `base.seed` unchanged, so lane 0 reproduces the single-modulator run.
   ModulatorBank(const ModulatorConfig& base, std::size_t lanes);
+
+  // The kernel views point into this bank's own packets and lanes.
+  ModulatorBank(const ModulatorBank&) = delete;
+  ModulatorBank& operator=(const ModulatorBank&) = delete;
 
   /// Runs `n` clocks on every enabled lane in capacitive mode. `c_sense_f` /
   /// `c_ref_f` hold one capacitance per lane; `bits_out` has room for
@@ -96,12 +102,14 @@ class ModulatorBank {
   /// The SIMD dispatch this bank resolved at construction (fixed for its
   /// lifetime; simd::force_active_level before construction to override).
   [[nodiscard]] simd::Level simd_level() const noexcept { return level_; }
-  /// Kernel lane width (1 = scalar lockstep).
+  /// Widest kernel lane width (1 = every lane is a 1-wide packet).
   [[nodiscard]] std::size_t simd_width() const noexcept { return width_; }
 
  private:
-  static constexpr std::size_t kFrame = DeltaSigmaModulator::NoisePlan::kFrame;
+  static constexpr std::size_t kFrame = DeltaSigmaModulator::kPlanFrame;
   static constexpr std::size_t kMaxW = bankkernel::kMaxWidth;
+  /// Doubles per source in a packet's noise buffer.
+  static constexpr std::size_t kPlanStride = kFrame * kMaxW;
 
   /// W lanes whose configs share one control structure (loop order, settling,
   /// which noise sources exist — the kernel's per-packet branches), laid out
@@ -109,94 +117,60 @@ class ModulatorBank {
   struct Packet {
     std::array<std::size_t, kMaxW> lane{};  ///< bank lane index per slot
 
-    // Per-lane state, loaded from the lane objects at block start and
-    // written back at block end (the lane objects stay authoritative
-    // between blocks, so checkpointing never sees this scratch).
-    alignas(64) std::array<double, kMaxW> x1{};
-    std::array<double, kMaxW> x2{};
-    std::array<double, kMaxW> d{};
-    std::array<double, kMaxW> last{};
-    std::array<double, kMaxW> time_s{};
-    std::array<double, kMaxW> max1{};
-    std::array<double, kMaxW> max2{};
-    std::array<double, kMaxW> clips{};
+    // Per-lane state and invariants, one width-sized array per kernel field
+    // (bankkernel::State / Invariant). State is loaded from the lane objects
+    // at block start and written back at block end (the lane objects stay
+    // authoritative between blocks, so checkpointing never sees this
+    // scratch); invariants are construction-time except u, set per block.
+    alignas(64) std::array<std::array<double, kMaxW>, bankkernel::kNumState> state{};
+    std::array<std::array<double, kMaxW>, bankkernel::kNumInvariant> in{};
 
-    // Per-lane invariants (construction-time except u, set per block).
-    alignas(64) std::array<double, kMaxW> u{};
-    std::array<double, kMaxW> g1{};
-    std::array<double, kMaxW> a1{};
-    std::array<double, kMaxW> p2{};
-    std::array<double, kMaxW> a2{};
-    std::array<double, kMaxW> scale{};
-    std::array<double, kMaxW> leak1{};
-    std::array<double, kMaxW> leak2{};
-    std::array<double, kMaxW> swing1{};
-    std::array<double, kMaxW> swing2{};
-    std::array<double, kMaxW> settle1{};
-    std::array<double, kMaxW> settle2{};
-    std::array<double, kMaxW> comp_offset{};
-    std::array<double, kMaxW> comp_halfhyst{};
-    std::array<double, kMaxW> comp_band{};
-    std::array<double, kMaxW> clock_period{};
-
-    // Per-frame noise plans transposed to [clock][lane], stride = the bank's
-    // kernel width (one contiguous vector load per clock per source).
-    alignas(64) std::array<double, kFrame * kMaxW> ktc{};
-    std::array<double, kFrame * kMaxW> ref{};
-    std::array<double, kFrame * kMaxW> op1{};
-    std::array<double, kFrame * kMaxW> fl1{};
-    std::array<double, kFrame * kMaxW> op2{};
-    std::array<double, kFrame * kMaxW> fl2{};
-    std::array<double, kFrame * kMaxW> comp{};
+    /// Per-frame noise plans: source s at [s * kPlanStride], transposed to
+    /// [clock][lane] with stride = the bank's kernel width (one contiguous
+    /// vector load per clock per source).
+    alignas(64) std::array<double, bankkernel::kNumSource * kPlanStride> noise{};
 
     std::array<int*, kMaxW> bits{};  ///< per-slot output cursor (per frame)
 
-    // Control structure shared by every lane in the packet.
-    bool order2{true};
-    bool settling{true};
-    bool ktc_on{false};
-    bool ref_on{false};
-    bool op1_on{false};
-    bool fl1_on{false};
-    bool op2_on{false};
-    bool fl2_on{false};
-    bool comp_on{false};
-
+    /// AVX2 packet with all four shared sources: its shared plans come from
+    /// fuse_shared4_avx2 instead of per-lane build_shared_plan_ calls.
+    bool fuse4{false};
     std::size_t frame_len{0};  ///< current frame length (metastable resync)
     ModulatorBank* owner{nullptr};
   };
 
-  /// Control-structure key: lanes group into a packet iff equal. Matches the
-  /// kernel's per-packet branch set exactly.
-  [[nodiscard]] std::uint32_t structure_key_(std::size_t k) const noexcept;
-
   void init_metrics_();
-  /// Regroups enabled lanes into packets of width_ + scalar remainder.
+  /// Regroups enabled lanes into packets of width_ plus 1-lane views.
   void rebuild_packets_();
-  /// Loads lane state/invariants into the packets at block start.
+  /// Enabled lanes outside every W-wide packet (the 1-lane views).
+  [[nodiscard]] bool narrow_(std::size_t k) const noexcept {
+    return enabled_[k] != 0 && lane_packet_[k] == kNoPacket;
+  }
+  /// Loads lane state into the kernel views at block start.
   void load_packet_state_();
-  /// Writes packet state back into the lane objects at block end.
+  /// Writes kernel view state back into the lane objects at block end.
   void store_packet_state_();
-  /// One frame's noise for every enabled lane: the scalar fill_noise_plan_
+  /// One frame's noise for every enabled lane: the solo fill_noise_plan_
   /// pieces, with each source group's Gaussian draws batched across lanes
-  /// through Rng::fill_gaussian_multi (bit-identical per stream).
+  /// through Rng::fill_gaussian_multi (bit-identical per stream). Packet
+  /// lanes' plans end up transposed in their packet's buffers (the shared
+  /// sources are de-interleaved straight there); 1-lane views' stay in their
+  /// own plan_.
   void fill_lane_plans_(std::size_t frame);
-  /// Shared-stream de-interleave + scale for packet lanes, written straight
-  /// into the transposed packet buffers (the per-lane NoisePlan arrays are
-  /// only materialized for scalar-stepped lanes). AVX2 banks with all four
-  /// shared sources enabled take the fused 4×4-transpose kernel.
-  void fuse_shared_packet_plans_(std::size_t frame);
-  /// Copies the packets' lanes' remaining plan-sourced arrays (flicker) into
-  /// the transposed buffers. The shared sources and comparator noise are
-  /// written transposed at generation time and never pass through here.
-  void transpose_packet_plans_(std::size_t frame);
-  /// Original clock-outer / lane-inner scalar lockstep over `lanes`.
-  void step_scalar_lanes_(const std::vector<std::size_t>& lanes, int* bits_out,
-                          std::size_t n_total, std::size_t done,
-                          std::size_t frame);
+  /// One batched fill: `pick(k)` names each enabled lane k's stream,
+  /// destination and draw count (0 skips the lane); every stream is then
+  /// drawn by one Rng::fill_gaussian_multi. Leaves the drawn lanes in
+  /// fill_lanes_ and their destinations in fill_dests_.
+  struct Fill {
+    Rng* rng;
+    double* dest;
+    std::size_t n;
+  };
+  template <class Pick>
+  void fill_batched_(Pick pick);
 
-  // Masked scalar escapes for the vector kernel (bank_kernel.hpp): `ctx` is
-  // the Packet, `slot` the lane's index within it.
+  // Masked scalar escapes for W-wide packets (bank_kernel.hpp): `ctx` is the
+  // Packet, `slot` the lane's index within it.
   static double settle_cb_(void* ctx, std::size_t slot, int stage, double v);
   static double metastable_cb_(void* ctx, std::size_t slot, std::size_t clock);
 
@@ -204,7 +178,7 @@ class ModulatorBank {
   std::vector<DeltaSigmaModulator::CapacitiveInput> inputs_;  ///< scratch
   std::vector<std::uint8_t> enabled_;
 
-  // Kernel dispatch, resolved once at construction.
+  // Kernel dispatch, resolved once at construction (nullptr: width 1 only).
   simd::Level level_{simd::Level::kScalar};
   std::size_t width_{1};
   void (*kernel_)(bankkernel::PacketView*, std::size_t, std::size_t){nullptr};
@@ -212,7 +186,9 @@ class ModulatorBank {
   // Packet layout (lazy: rebuilt when the enable mask changes).
   bool packets_dirty_{true};
   std::vector<Packet> packets_;
-  std::vector<std::size_t> scalar_lanes_;  ///< enabled lanes outside packets
+  /// Every lane's own 1-lane view (DeltaSigmaModulator::kernel_view_).
+  std::vector<bankkernel::PacketView> lane_views_;
+  /// packets_'s W-wide views, then the 1-lane views of the narrow_ lanes.
   std::vector<bankkernel::PacketView> views_;
   static constexpr std::size_t kNoPacket = static_cast<std::size_t>(-1);
   std::vector<std::size_t> lane_packet_;  ///< packet index or kNoPacket

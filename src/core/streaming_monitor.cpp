@@ -30,8 +30,14 @@ StreamingMonitor::StreamingMonitor(const StreamingConfig& config) : config_(conf
     throw std::invalid_argument{"StreamingMonitor: confirm_beats must be > 0"};
   }
   window_samples_ = static_cast<std::size_t>(config_.window_s * config_.sample_rate_hz);
-  hop_samples_ = static_cast<std::size_t>(config_.hop_s * config_.sample_rate_hz);
-  buffer_.reserve(window_samples_);
+  // A hop shorter than one sample hops on every sample, exactly as a
+  // one-sample hop does.
+  hop_samples_ = std::max<std::size_t>(
+      1, static_cast<std::size_t>(config_.hop_s * config_.sample_rate_hz));
+  // push() compacts only at hops, so the buffer peaks at window + hop
+  // samples: reserve all of it once, and neither push() nor restore()
+  // reallocates.
+  buffer_.reserve(window_samples_ + hop_samples_);
   alarm_states_.assign(6, AlarmState{});
   auto& reg = metrics::Registry::global();
   alarms_raised_metric_ = &reg.counter(metrics::names::kMonitorAlarmsRaised);
@@ -61,13 +67,23 @@ void StreamingMonitor::serialize(CheckpointWriter& out) const {
 
 void StreamingMonitor::restore(CheckpointReader& in) {
   in.section("streaming_monitor");
+  // Between pushes the buffer holds at most window + hop − 1 samples.
   const std::size_t buffered = in.size();
-  if (buffered > window_samples_) {
+  if (buffered >= window_samples_ + hop_samples_) {
     throw CheckpointError{"streaming monitor checkpoint window overflows config"};
   }
   buffer_.resize(buffered);
   for (auto& v : buffer_) v = in.f64();
   since_hop_ = in.size();
+  // Accept exactly the states push() reaches: while the first window fills,
+  // every sample counts toward the hop; after it, the buffer is the window
+  // plus the samples of the hop in progress.
+  const bool filling = buffered < window_samples_ && since_hop_ == buffered;
+  const bool hopping =
+      buffered == window_samples_ + since_hop_ && since_hop_ < hop_samples_;
+  if (!filling && !hopping) {
+    throw CheckpointError{"streaming monitor checkpoint hop state does not match its window"};
+  }
   time_s_ = in.f64();
   buffer_start_s_ = in.f64();
   last_emitted_beat_s_ = in.f64();

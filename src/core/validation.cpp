@@ -295,6 +295,7 @@ std::vector<CohortValidation> aggregate_by_cohort(
     if (aami_verdict(rec.sys_error, min_pairs) == AamiVerdict::kPass) {
       ++c.aami_pass_sessions;
     }
+    if (!rec.failure.empty()) ++c.failed_sessions;
     c.sys_error.merge(rec.sys_error);
     c.dia_error.merge(rec.dia_error);
     c.map_error.merge(rec.map_error);
@@ -321,6 +322,9 @@ void export_validation_jsonl(std::span<const SessionValidationRecord> records,
        << "\",\"seed\":" << r->seed << ",\"duration_s\":" << r->duration_s
        << ",\"truth_beats\":" << r->truth_beats << ",\"estimate_beats\":" << r->estimate_beats
        << ",\"matched_beats\":" << r->matched_beats;
+    // Failure fields appear only when something failed, so runs where every
+    // session was graded keep their bytes.
+    if (!r->failure.empty()) os << ",\"failed\":\"" << json_escape(r->failure) << "\"";
     export_error_block(os, "sys", r->sys_error, min_pairs);
     export_error_block(os, "dia", r->dia_error, min_pairs);
     export_error_block(os, "map", r->map_error, min_pairs);
@@ -344,18 +348,21 @@ void export_validation_jsonl(std::span<const SessionValidationRecord> records,
   for (const auto& c : cohorts) {
     os << "{\"type\":\"validation_cohort\",\"cohort\":\"" << json_escape(c.cohort)
        << "\",\"sessions\":" << c.sessions << ",\"aami_pass\":" << c.aami_pass_sessions;
+    if (c.failed_sessions > 0) os << ",\"failed\":" << c.failed_sessions;
     export_error_block(os, "sys", c.sys_error, min_pairs);
     export_error_block(os, "dia", c.dia_error, min_pairs);
     export_error_block(os, "map", c.map_error, min_pairs);
     os << "}\n";
     fleet.sessions += c.sessions;
     fleet.aami_pass_sessions += c.aami_pass_sessions;
+    fleet.failed_sessions += c.failed_sessions;
     fleet.sys_error.merge(c.sys_error);
     fleet.dia_error.merge(c.dia_error);
     fleet.map_error.merge(c.map_error);
   }
   os << "{\"type\":\"validation_fleet\",\"sessions\":" << fleet.sessions
      << ",\"aami_pass\":" << fleet.aami_pass_sessions;
+  if (fleet.failed_sessions > 0) os << ",\"failed\":" << fleet.failed_sessions;
   export_error_block(os, "sys", fleet.sys_error, min_pairs);
   export_error_block(os, "dia", fleet.dia_error, min_pairs);
   export_error_block(os, "map", fleet.map_error, min_pairs);

@@ -129,6 +129,10 @@ struct SessionValidationRecord {
   ErrorAccumulator dia_error;
   ErrorAccumulator map_error;
   TransientMetrics transient;
+  /// Why the session produced no grade (e.g. its admission failed); empty
+  /// for a graded session. A failed session counts toward its cohort with
+  /// no beat pairs.
+  std::string failure;
 };
 
 /// Scores one session: feed ground-truth beats (pulse-generator clock) and
@@ -175,6 +179,7 @@ struct CohortValidation {
   std::string cohort;
   std::size_t sessions{0};
   std::size_t aami_pass_sessions{0};
+  std::size_t failed_sessions{0};  ///< records with a failure
   ErrorAccumulator sys_error;
   ErrorAccumulator dia_error;
   ErrorAccumulator map_error;

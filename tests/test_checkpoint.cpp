@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -230,29 +231,32 @@ SessionConfig seeded_config(std::uint32_t id) {
 
 TEST(Checkpoint, SessionResumeIsBitIdenticalToUninterrupted) {
   const SessionConfig config = seeded_config(0);
+  // Suspend points, in 64-frame batches: inside the monitor's first 8 s
+  // window; exactly on its first hop (125 batches); off a 2 s hop past it
+  // (9.344 s), where the monitor holds the window plus a partial hop; and
+  // on a later hop (16 s = 250 batches).
+  const double kSuspend[] = {0.5, 8.0, 9.3, 16.0};
+  const double kEnd = 17.0;
 
   Stream uninterrupted;
   {
     PatientSession session{0, config};
-    run_to(session, 1.0, &uninterrupted);
+    run_to(session, kEnd, &uninterrupted);
   }
 
-  // Same session, suspended at a mid-run batch barrier and resumed into a
-  // freshly constructed object — the process-restart path.
+  // Same session, suspended at each mid-run batch barrier in turn and
+  // resumed into a freshly constructed object — the process-restart path.
   Stream resumed;
-  std::vector<std::uint8_t> blob;
-  {
-    PatientSession first_half{0, config};
-    run_to(first_half, 0.5, &resumed);
-    blob = first_half.checkpoint();
+  auto session = std::make_unique<PatientSession>(0, config);
+  for (const double suspend_s : kSuspend) {
+    run_to(*session, suspend_s, &resumed);
+    const std::vector<std::uint8_t> blob = session->checkpoint();
+    session = std::make_unique<PatientSession>(0, config);
+    ASSERT_NO_THROW(session->restore_checkpoint(blob)) << "suspended at " << suspend_s;
+    EXPECT_TRUE(session->admitted());
+    EXPECT_GT(session->frames_produced(), 0u);
   }
-  {
-    PatientSession second_half{0, config};
-    second_half.restore_checkpoint(blob);
-    EXPECT_TRUE(second_half.admitted());
-    EXPECT_GT(second_half.frames_produced(), 0u);
-    run_to(second_half, 1.0, &resumed);
-  }
+  run_to(*session, kEnd, &resumed);
 
   ASSERT_FALSE(uninterrupted.codes.empty());
   expect_streams_equal(uninterrupted, resumed, "clean session");

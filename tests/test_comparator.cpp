@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "src/analog/bank_kernel.hpp"
+
 namespace tono::analog {
 namespace {
 
@@ -83,22 +88,60 @@ TEST(Comparator, LastDecisionTracks) {
   EXPECT_EQ(cmp.last_decision(), -1);
 }
 
-// decide_planned must be bit-identical to decide for any input sequence —
-// including when metastable events force the plan to resync mid-frame.
+// The planned decision — plan(), the step kernel's comparator stage and its
+// metastable escape — must be bit-identical to decide() for any input
+// sequence, including when metastable events force the plan to resync
+// mid-frame. The inputs reach the W=1 kernel (bank_kernel.hpp) through a
+// pass-through first stage: order 1, g1 = 1, a1 = 0, no leak, settling or
+// clipping, and the kT/C plan slot carrying each clock's comparator input,
+// so the integrator output the comparator sees is the input exactly.
 void expect_planned_matches_scalar(const ComparatorConfig& c,
                                    std::uint64_t seed, int frames,
                                    std::size_t frame_len) {
   Comparator scalar{c, tono::Rng{seed}};
   Comparator planned{c, tono::Rng{seed}};
   std::vector<double> noise(frame_len);
+  std::vector<double> inputs_plan(frame_len);
+  std::vector<int> bits(frame_len);
+  using namespace bankkernel;
+  double state[kNumState] = {};
+  state[kD] = state[kLast] = 1.0;
+  const double zero = 0.0;
+  const double one = 1.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double halfhyst = 0.5 * c.hysteresis_v;
+  int* bits_ptr = bits.data();
+  PacketView v;
+  v.width = 1;
+  for (std::size_t f = 0; f < kNumState; ++f) v.state[f] = &state[f];
+  for (std::size_t f = 0; f < kNumInvariant; ++f) v.in[f] = &zero;
+  v.in[kG1] = v.in[kScale] = v.in[kClockPeriod] = &one;
+  v.in[kSwing1] = v.in[kSettle1] = &inf;
+  v.in[kCompOffset] = &c.offset_v;
+  v.in[kCompHalfHyst] = &halfhyst;
+  v.in[kCompBand] = &c.metastable_band_v;
+  v.noise[kKtc] = inputs_plan.data();
+  v.noise[kComp] = c.noise_vrms > 0.0 ? noise.data() : nullptr;
+  v.order2 = false;
+  v.settling = false;
+  v.bits = &bits_ptr;
+  v.ctx = &planned;
+  v.metastable_fn = [](void* ctx, std::size_t, std::size_t clock) {
+    return static_cast<double>(
+        static_cast<Comparator*>(ctx)->decide_metastable_at(clock));
+  };
   tono::Rng inputs{seed ^ 0xABCDu};
   for (int f = 0; f < frames; ++f) {
-    planned.plan(noise.data(), frame_len);
+    for (double& x : inputs_plan) x = inputs.uniform(-0.2, 0.2);
+    if (tono::Rng* stream = planned.plan(noise.data(), frame_len)) {
+      stream->fill_gaussian(noise.data(), frame_len, 0.0, c.noise_vrms);
+    }
+    bankkernel::run_packets_scalar(&v, 1, frame_len);
     for (std::size_t i = 0; i < frame_len; ++i) {
-      const double v = inputs.uniform(-0.2, 0.2);
-      ASSERT_EQ(scalar.decide(v), planned.decide_planned(v))
+      ASSERT_EQ(scalar.decide(inputs_plan[i]), bits[i])
           << "frame=" << f << " i=" << i;
     }
+    ASSERT_EQ(static_cast<double>(scalar.last_decision()), state[kLast]);
   }
 }
 

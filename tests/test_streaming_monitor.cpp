@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "src/bio/pulse_generator.hpp"
+#include "src/common/checkpoint.hpp"
 #include "src/common/metrics.hpp"
 #include "src/common/rng.hpp"
 #include "src/bio/scenario.hpp"
@@ -188,6 +190,114 @@ TEST(StreamingMonitor, RejectsBadConfig) {
   StreamingConfig bad4;
   bad4.limits.confirm_beats = 0;
   EXPECT_THROW((StreamingMonitor{bad4}), std::invalid_argument);
+}
+
+/// Appends every callback's payload to `log`, in firing order.
+void record(StreamingMonitor& mon, std::vector<double>* log) {
+  mon.on_beat([log](const Beat& b) {
+    log->insert(log->end(), {b.upstroke_s, b.systolic_value, b.diastolic_value});
+  });
+  mon.on_alarm([log](const AlarmEvent& a) {
+    log->insert(log->end(), {static_cast<double>(a.kind), a.active ? 1.0 : 0.0,
+                             a.time_s, a.value});
+  });
+  mon.on_quality([log](const QualityReport& q, double time_s) {
+    log->insert(log->end(), {time_s, q.sqi});
+  });
+}
+
+std::vector<std::uint8_t> checkpoint_of(const StreamingMonitor& mon) {
+  CheckpointWriter out;
+  mon.serialize(out);
+  return out.finish(1);
+}
+
+// push() compacts its buffer only at hops, so between hops it holds the
+// window plus the hop in progress. A checkpoint taken at any sample must
+// restore, round-trip its bytes and continue exactly like the monitor that
+// never stopped.
+TEST(StreamingMonitor, CheckpointRestoresAtEverySampleOffsetAcrossTwoHops) {
+  StreamingConfig config;
+  config.limits.systolic_high_mmhg = 118.0;  // alarms too, not only beats
+  const std::size_t window = 8000;
+  const std::size_t hop = 2000;
+  const std::vector<double> wave = pulse_wave(steady(), 17.0);
+
+  std::vector<double> uninterrupted;
+  {
+    StreamingMonitor mon{config};
+    record(mon, &uninterrupted);
+    mon.push(wave);
+  }
+  ASSERT_FALSE(uninterrupted.empty());
+
+  StreamingMonitor mon{config};
+  std::vector<double> head;  // events fired before the current offset
+  record(mon, &head);
+  std::size_t pushed = 0;
+  std::size_t continued_runs = 0;
+  for (std::size_t offset = window; offset <= window + 2 * hop; ++offset) {
+    while (pushed < offset) mon.push(wave[pushed++]);
+    const std::vector<std::uint8_t> blob = checkpoint_of(mon);
+    StreamingMonitor restored{config};
+    CheckpointReader in{blob};
+    ASSERT_NO_THROW(restored.restore(in)) << "offset " << offset;
+    ASSERT_EQ(checkpoint_of(restored), blob) << "offset " << offset;
+    if (offset == window + 1 || offset == window + hop - 1 ||
+        offset == window + hop || offset == window + hop + 777) {
+      std::vector<double> continued = head;
+      record(restored, &continued);
+      for (std::size_t i = offset; i < wave.size(); ++i) restored.push(wave[i]);
+      EXPECT_EQ(continued, uninterrupted) << "offset " << offset;
+      ++continued_runs;
+    }
+  }
+  EXPECT_EQ(continued_runs, 4u);
+}
+
+// Restore accepts exactly the (buffered, since-hop) pairs push() reaches.
+TEST(StreamingMonitor, RestoreRejectsUnreachableHopStates) {
+  const StreamingConfig config;
+  const std::size_t window = 8000;
+  const std::size_t hop = 2000;
+  const auto blob = [](std::size_t buffered, std::size_t since_hop) {
+    CheckpointWriter out;
+    out.section("streaming_monitor");
+    out.size(buffered);
+    for (std::size_t i = 0; i < buffered; ++i) out.f64(100.0);
+    out.size(since_hop);
+    for (int i = 0; i < 3; ++i) out.f64(0.0);  // clock, window start, last beat
+    out.size(0);                                 // beats emitted
+    out.f64(0.0);                                // last rate
+    out.size(6);
+    for (int i = 0; i < 6; ++i) {
+      out.size(0);
+      out.size(0);
+      out.boolean(false);
+      out.f64(0.0);
+    }
+    return out.finish(1);
+  };
+  const auto restores = [&](std::size_t buffered, std::size_t since_hop) {
+    StreamingMonitor mon{config};
+    CheckpointReader in{blob(buffered, since_hop)};
+    try {
+      mon.restore(in);
+      return true;
+    } catch (const CheckpointError&) {
+      return false;
+    }
+  };
+  EXPECT_TRUE(restores(0, 0));
+  EXPECT_TRUE(restores(100, 100));                // first window filling
+  EXPECT_TRUE(restores(window, 0));               // on a hop
+  EXPECT_TRUE(restores(window + 5, 5));           // inside a hop
+  EXPECT_TRUE(restores(window + hop - 1, hop - 1));
+  EXPECT_FALSE(restores(100, 99));
+  EXPECT_FALSE(restores(window, 5));
+  EXPECT_FALSE(restores(window + 5, 4));
+  EXPECT_FALSE(restores(window + hop, hop));      // compacted at the hop
+  EXPECT_FALSE(restores(window + hop + 1, 1));
 }
 
 TEST(StreamingMonitor, AlarmToString) {

@@ -271,6 +271,36 @@ TEST(ValidationJsonl, ByteStableAndShaped) {
   EXPECT_EQ(text.find("\"transient\""), std::string::npos);
   // Every line is newline-terminated (5 lines: 2 sessions, 2 cohorts, 1 fleet).
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+  // Failure fields are gated too: nothing failed here.
+  EXPECT_EQ(text.find("\"failed\""), std::string::npos);
+}
+
+TEST(ValidationJsonl, FailedSessionIsGradedAsFailed) {
+  std::vector<SessionValidationRecord> records;
+  records.push_back(synthetic_record(0, "old", 2.0));
+  SessionValidationRecord failed;
+  failed.session_id = 1;
+  failed.cohort = "old";
+  failed.failure = "admission failed: no \"pulse\"";
+  records.push_back(failed);
+
+  const auto cohorts = aggregate_by_cohort(records);
+  ASSERT_EQ(cohorts.size(), 1u);
+  EXPECT_EQ(cohorts[0].sessions, 2u);
+  EXPECT_EQ(cohorts[0].failed_sessions, 1u);
+  EXPECT_EQ(cohorts[0].aami_pass_sessions, 1u);
+  EXPECT_EQ(cohorts[0].sys_error.count(), 40u);  // the failed one adds no pairs
+
+  std::ostringstream os;
+  export_validation_jsonl(records, os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("\"id\":1,\"cohort\":\"old\""), std::string::npos);
+  EXPECT_NE(text.find("\"failed\":\"admission failed: no \\\"pulse\\\"\""),
+            std::string::npos);
+  EXPECT_NE(text.find("\"aami_pass\":1,\"failed\":1,\"sys\""), std::string::npos);
+  EXPECT_NE(text.find("\"type\":\"validation_fleet\",\"sessions\":2,\"aami_pass\":1,"
+                      "\"failed\":1"),
+            std::string::npos);
 }
 
 }  // namespace
