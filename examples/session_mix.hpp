@@ -1,8 +1,8 @@
-// session_mix.hpp — the admission mix shared by ward_server and
-// gateway_server. Both binaries must admit byte-identical session configs
-// for the same (index, flags), because CI diffs their hospital snapshots:
-// a loopback-gateway run must be bit-identical to a direct-ingest run
-// (docs/GATEWAY.md "Determinism contract").
+// session_mix.hpp — the admission mix shared by ward_server and the ward
+// benchmark (wardbench/ward.cpp). Every ward_server transport admits the
+// same configs for the same (index, flags), because CI diffs their hospital
+// snapshots: a loopback or TCP run must be bit-identical to a direct-ingest
+// run (docs/GATEWAY.md "Determinism contracts").
 #pragma once
 
 #include <cstddef>

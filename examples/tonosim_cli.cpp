@@ -145,7 +145,7 @@ int cmd_membrane(int argc, const char* const* argv) {
 int cmd_localize(int argc, const char* const* argv) {
   ArgParser args{"tonosim_cli localize", "array scan over a displaced artery"};
   args.add_double("offset-mm", "device placement offset [mm]", 0.0);
-  args.add_int("cols", "array columns", 8);
+  args.add_int("cols", "array columns", 8, {.min = 1});
   args.add_string("metrics", "write a JSONL runtime-metrics snapshot to this file", "");
   if (!args.parse(argc, argv)) {
     std::cerr << (args.help_requested() ? args.help_text() : args.error() + "\n");

@@ -119,38 +119,20 @@ int main(int argc, char** argv) {
   ArgParser args{"validation_report",
                  "grade a simulated patient population against ground truth"};
   args.add_int("seed", "population base seed", 42);
-  args.add_int("population", "number of population members to run", 16);
-  args.add_double("duration", "monitoring stream per session [s]", 60.0);
-  args.add_int("threads", "sweep worker threads (0 = hardware, 1 = serial)", 0);
+  args.add_int("population", "number of population members to run", 16, {.min = 1});
+  args.add_double("duration", "monitoring stream per session [s]", 60.0, {.above = 0.0});
+  args.add_int("threads", "sweep worker threads (0 = hardware, 1 = serial)", 0, {.min = 0});
   args.add_string("output", "write the validation JSONL artifact to this file", "");
-  args.add_int("min-pairs", "beat pairs below this give insufficient-data grades", 30);
+  args.add_int("min-pairs", "beat pairs below this give insufficient-data grades", 30,
+               {.min = 1});
   args.add_flag("artifacts", "enable per-member motion/contact artefacts");
   if (!args.parse(argc, argv)) {
     std::cerr << (args.help_requested() ? args.help_text() : args.error() + "\n");
     return args.help_requested() ? 0 : 2;
   }
-  const long population_raw = args.int_value("population");
-  const long threads_raw = args.int_value("threads");
-  const long min_pairs_raw = args.int_value("min-pairs");
   const double duration_s = args.double_value("duration");
-  if (population_raw < 1) {
-    std::cerr << "--population must be >= 1\n";
-    return 2;
-  }
-  if (threads_raw < 0) {
-    std::cerr << "--threads must be >= 0\n";
-    return 2;
-  }
-  if (min_pairs_raw < 1) {
-    std::cerr << "--min-pairs must be >= 1\n";
-    return 2;
-  }
-  if (duration_s <= 0.0) {
-    std::cerr << "--duration must be > 0\n";
-    return 2;
-  }
-  const auto population = static_cast<std::size_t>(population_raw);
-  const auto min_pairs = static_cast<std::size_t>(min_pairs_raw);
+  const auto population = static_cast<std::size_t>(args.int_value("population"));
+  const auto min_pairs = static_cast<std::size_t>(args.int_value("min-pairs"));
 
   bio::PopulationConfig pop_config;
   pop_config.seed = static_cast<std::uint64_t>(args.int_value("seed"));
@@ -160,7 +142,7 @@ int main(int argc, char** argv) {
   const auto members = generator.generate(population);
 
   core::SweepConfig sweep_config;
-  sweep_config.threads = static_cast<std::size_t>(threads_raw);
+  sweep_config.threads = static_cast<std::size_t>(args.int_value("threads"));
   sweep_config.base_seed = pop_config.seed;
   sweep_config.stream_name = "validation";
   core::SweepRunner runner{sweep_config};

@@ -1,5 +1,6 @@
 #include "src/common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -11,12 +12,30 @@ namespace tono {
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
+namespace {
+
+/// Appends "<op><bound>" to a constraint, joining clauses with " and ".
+void add_clause(std::string& constraint, const char* op, std::optional<double> bound) {
+  if (!bound) return;
+  std::ostringstream oss;
+  oss << op << *bound;
+  constraint += (constraint.empty() ? "" : " and ") + oss.str();
+}
+
+}  // namespace
+
 void ArgParser::add(const std::string& name, Kind kind, const std::string& help,
-                    std::optional<std::string> default_value) {
+                    std::optional<std::string> default_value, std::string constraint,
+                    std::function<bool(const std::string&)> admits) {
   if (options_.count(name) != 0) {
     throw std::invalid_argument{"ArgParser: duplicate option --" + name};
   }
-  options_[name] = Option{kind, help, std::move(default_value), std::nullopt};
+  if (default_value && admits && !admits(*default_value)) {
+    throw std::invalid_argument{"ArgParser: default of --" + name + " is not " +
+                                constraint};
+  }
+  options_[name] = Option{kind, help, std::move(default_value), std::nullopt,
+                          std::move(constraint), std::move(admits)};
   order_.push_back(name);
 }
 
@@ -25,26 +44,53 @@ void ArgParser::add_flag(const std::string& name, const std::string& help) {
 }
 
 void ArgParser::add_string(const std::string& name, const std::string& help,
-                           std::optional<std::string> default_value) {
-  add(name, Kind::kString, help, std::move(default_value));
+                           std::optional<std::string> default_value,
+                           std::vector<std::string> choices) {
+  if (choices.empty()) {
+    add(name, Kind::kString, help, std::move(default_value));
+    return;
+  }
+  std::string constraint = "one of ";
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    constraint += (i == 0 ? "" : "|") + choices[i];
+  }
+  add(name, Kind::kString, help, std::move(default_value), std::move(constraint),
+      [choices = std::move(choices)](const std::string& v) {
+        return std::find(choices.begin(), choices.end(), v) != choices.end();
+      });
 }
 
 void ArgParser::add_double(const std::string& name, const std::string& help,
-                           std::optional<double> default_value) {
+                           std::optional<double> default_value, Bounds bounds) {
   std::optional<std::string> def;
   if (default_value) {
     std::ostringstream oss;
     oss << *default_value;
     def = oss.str();
   }
-  add(name, Kind::kDouble, help, std::move(def));
+  add_bounded(name, Kind::kDouble, help, std::move(def), bounds);
 }
 
 void ArgParser::add_int(const std::string& name, const std::string& help,
-                        std::optional<long> default_value) {
+                        std::optional<long> default_value, Bounds bounds) {
   std::optional<std::string> def;
   if (default_value) def = std::to_string(*default_value);
-  add(name, Kind::kInt, help, std::move(def));
+  add_bounded(name, Kind::kInt, help, std::move(def), bounds);
+}
+
+void ArgParser::add_bounded(const std::string& name, Kind kind, const std::string& help,
+                            std::optional<std::string> default_value, Bounds bounds) {
+  std::string constraint;
+  add_clause(constraint, ">= ", bounds.min);
+  add_clause(constraint, "> ", bounds.above);
+  add_clause(constraint, "<= ", bounds.max);
+  // Integers compare as doubles: exact for every flag value below 2^53.
+  add(name, kind, help, std::move(default_value), std::move(constraint),
+      [bounds](const std::string& v) {
+        const double x = std::strtod(v.c_str(), nullptr);
+        return (!bounds.min || x >= *bounds.min) && (!bounds.above || x > *bounds.above) &&
+               (!bounds.max || x <= *bounds.max);
+      });
 }
 
 bool ArgParser::parse(int argc, const char* const* argv) {
@@ -105,6 +151,11 @@ bool ArgParser::parse(int argc, const char* const* argv) {
         error_ = "option --" + name + " integer out of range: '" + value + "'";
         return false;
       }
+    }
+    if (it->second.admits && !it->second.admits(value)) {
+      error_ = "option --" + name + " must be " + it->second.constraint + ", got '" +
+               value + "'";
+      return false;
     }
     it->second.value = value;
   }
@@ -185,6 +236,7 @@ std::string ArgParser::help_text() const {
     }
     oss << "  " << opt.help;
     if (opt.default_value) oss << " (default " << *opt.default_value << ")";
+    if (!opt.constraint.empty()) oss << " [" << opt.constraint << "]";
     oss << '\n';
   }
   oss << "  --help  show this message\n";

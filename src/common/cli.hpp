@@ -1,10 +1,14 @@
 // cli.hpp — minimal command-line flag parser for the tonosim tools.
 //
 // Deliberately tiny: typed flags (`--name value`), boolean switches
-// (`--name`), defaults, required flags, and generated `--help` text.
-// No external dependency, so the CLI builds in the offline environment.
+// (`--name`), defaults, required flags, numeric bounds, string choices and
+// generated `--help` text. A value outside its bounds or choices fails in
+// parse(), with a message naming the flag and the bound, so a tool needs no
+// hand-written range checks. No external dependency, so the CLI builds in
+// the offline environment.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -12,18 +16,30 @@
 
 namespace tono {
 
+/// Bounds of a numeric flag: `min`/`max` inclusive, `above` exclusive
+/// (value > above).
+struct Bounds {
+  std::optional<double> min{};
+  std::optional<double> above{};
+  std::optional<double> max{};
+};
+
 class ArgParser {
  public:
   explicit ArgParser(std::string program, std::string description = "");
 
   /// Registers flags. `name` without the leading dashes.
   void add_flag(const std::string& name, const std::string& help);  // boolean
+  /// Bounds and choices constrain user values and the default alike; a
+  /// default outside them throws std::invalid_argument (a programming error).
+  /// Empty `choices` admits any string.
   void add_string(const std::string& name, const std::string& help,
-                  std::optional<std::string> default_value = std::nullopt);
+                  std::optional<std::string> default_value = std::nullopt,
+                  std::vector<std::string> choices = {});
   void add_double(const std::string& name, const std::string& help,
-                  std::optional<double> default_value = std::nullopt);
+                  std::optional<double> default_value = std::nullopt, Bounds bounds = {});
   void add_int(const std::string& name, const std::string& help,
-               std::optional<long> default_value = std::nullopt);
+               std::optional<long> default_value = std::nullopt, Bounds bounds = {});
 
   /// Parses argv (excluding argv[0] handling — pass argc/argv as received).
   /// Returns false and fills error() on failure or if --help was requested
@@ -52,10 +68,15 @@ class ArgParser {
     std::string help;
     std::optional<std::string> default_value;
     std::optional<std::string> value;
+    std::string constraint;  ///< e.g. ">= 1" or "one of drop|block"; empty = none
+    std::function<bool(const std::string&)> admits;  ///< a syntax-checked value obeys it
   };
 
   void add(const std::string& name, Kind kind, const std::string& help,
-           std::optional<std::string> default_value);
+           std::optional<std::string> default_value, std::string constraint = "",
+           std::function<bool(const std::string&)> admits = {});
+  void add_bounded(const std::string& name, Kind kind, const std::string& help,
+                   std::optional<std::string> default_value, Bounds bounds);
   [[nodiscard]] const Option& option_or_throw(const std::string& name, Kind kind) const;
 
   std::string program_;

@@ -217,38 +217,23 @@ void PatientSession::step(std::size_t frames) {
   // codes arrive via ingest_codes() and advance stream time there.
   if (config_.external_ingest || frames == 0) return;
   apply_due_faults_();
-  auto& pipeline = inner_->pipeline();
-  const auto samples = pipeline.acquire_block(effective_field_, frames);
-  if (config_.code_sink) {
-    // Gateway mode: hand the surviving codes to the wire instead of
-    // publishing locally; the demux delivers them back via ingest_codes()
-    // at the batch barrier. A link-burst plan still corrupts first — the
-    // sink sees only what survived the simulated USB hop.
-    sink_scratch_.clear();
-    if (link_decoder_ == nullptr) {
-      sink_scratch_.reserve(samples.size());
-      for (const auto& s : samples) {
-        sink_scratch_.push_back(static_cast<std::int16_t>(s.code));
-      }
-    } else {
-      link_roundtrip_(samples, sink_scratch_);
-    }
-    config_.code_sink(id_, sink_scratch_);
-  } else if (link_decoder_ == nullptr) {
+  const auto samples = inner_->pipeline().acquire_block(effective_field_, frames);
+  // The codes that survive the simulated USB hop: a link-burst plan
+  // round-trips them through the link, corrupting frames inside its windows.
+  step_codes_.clear();
+  if (link_decoder_ == nullptr) {
     for (const auto& s : samples) {
-      (void)codes_.push(static_cast<std::int16_t>(s.code), config_.code_policy);
-      // The streaming monitor's callbacks fire inside push(): beats and
-      // alarms land in the events ring with bounded latency (one hop).
-      stream_->push(calibration_.to_mmhg(s.value));
+      step_codes_.push_back(static_cast<std::int16_t>(s.code));
     }
   } else {
-    sink_scratch_.clear();
-    link_roundtrip_(samples, sink_scratch_);
-    const int bits = config_.chip.decimation.output_bits;
-    for (const std::int16_t code : sink_scratch_) {
-      (void)codes_.push(code, config_.code_policy);
-      stream_->push(calibration_.to_mmhg(dequantize_from_bits(code, bits)));
-    }
+    link_roundtrip_(samples, step_codes_);
+  }
+  if (config_.code_sink) {
+    // Gateway mode: the wire carries the codes, and the demux delivers them
+    // back via ingest_codes() at the batch barrier.
+    config_.code_sink(id_, step_codes_);
+  } else {
+    publish_(step_codes_);
   }
   frames_produced_ += frames;
 }
@@ -259,14 +244,23 @@ void PatientSession::ingest_codes(std::span<const std::int16_t> codes) {
         "PatientSession: ingest_codes before admission (gateway pump must "
         "run after the session's first step)"};
   }
-  const int bits = config_.chip.decimation.output_bits;
-  for (const std::int16_t code : codes) {
-    (void)codes_.push(code, config_.code_policy);
-    stream_->push(calibration_.to_mmhg(dequantize_from_bits(code, bits)));
-  }
+  publish_(codes);
   // Gateway-live sessions advanced stream time in step() when they
   // acquired; only an externally-fed session advances it on delivery.
   if (config_.external_ingest) frames_produced_ += codes.size();
+}
+
+void PatientSession::publish_(std::span<const std::int16_t> codes) {
+  // Bit-identical to feeding the decimated values: a DecimatedSample's value
+  // IS dequantize_from_bits(code, output_bits), and 12-bit codes survive the
+  // int16 cast.
+  const int bits = config_.chip.decimation.output_bits;
+  for (const std::int16_t code : codes) {
+    (void)codes_.push(code, config_.code_policy);
+    // The streaming monitor's callbacks fire inside push(): beats and
+    // alarms land in the events ring with bounded latency (one hop).
+    stream_->push(calibration_.to_mmhg(dequantize_from_bits(code, bits)));
+  }
 }
 
 void PatientSession::apply_due_faults_() {

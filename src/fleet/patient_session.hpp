@@ -233,6 +233,9 @@ class PatientSession {
   /// with callbacks freshly bound to this instance.
   void make_stream_();
   void publish_event_(const FleetEvent& event);
+  /// Pushes codes to the codes ring and, dequantized and calibrated, to the
+  /// streaming monitor: the one publish path of step() and ingest_codes().
+  void publish_(std::span<const std::int16_t> codes);
   /// Applies every plan event whose onset has passed. Throws (→ quarantine)
   /// while an event still has throw budget; otherwise installs the
   /// degradation (contact window, link burst window, element fault).
@@ -273,7 +276,7 @@ class PatientSession {
   std::unique_ptr<core::FrameEncoder> link_encoder_;
   std::unique_ptr<core::FrameDecoder> link_decoder_;
   std::unique_ptr<core::LinkFaultInjector> link_injector_;
-  std::vector<std::int16_t> sink_scratch_;  ///< per-step scratch, never serialized
+  std::vector<std::int16_t> step_codes_;  ///< per-step scratch, never serialized
   metrics::Counter* faults_injected_metric_;
 };
 

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 
 namespace tono::gateway {
@@ -17,6 +18,25 @@ namespace {
 }
 
 }  // namespace
+
+bool parse_endpoint(const std::string& spec, std::string* host, std::uint16_t* port,
+                    std::string* error) {
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
+    *error = "expected host:port, got '" + spec + "'";
+    return false;
+  }
+  const std::string port_str = spec.substr(colon + 1);
+  char* end = nullptr;
+  const long p = std::strtol(port_str.c_str(), &end, 10);
+  if (end == port_str.c_str() || *end != '\0' || p < 0 || p > 65535) {
+    *error = "port must be 0..65535, got '" + port_str + "'";
+    return false;
+  }
+  *host = spec.substr(0, colon);
+  *port = static_cast<std::uint16_t>(p);
+  return true;
+}
 
 TcpListener::TcpListener(const std::string& host, std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

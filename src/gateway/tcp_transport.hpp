@@ -1,9 +1,10 @@
 // tcp_transport.hpp — the Fig. 3 link over a real socket.
 //
 // A localhost (or LAN) TCP stream behind the same Transport interface as
-// the in-process loopback, so gateway_server can switch wires with one
-// flag and every determinism test keeps passing: TCP preserves byte order
-// and loses nothing, so a clean-wire run is bit-identical to loopback.
+// the in-process loopback, so `ward_server --transport tcp` switches wires
+// with one flag and every determinism test keeps passing: TCP preserves
+// byte order and loses nothing, so a clean-wire run is bit-identical to
+// loopback (GatewayFleet.TcpIngestIsBitIdenticalToDirect).
 //
 // Backpressure mapping: TCP cannot shed (lossless() == true, drop_oldest
 // returns empty), so transport saturation always maps onto the kBlock
@@ -37,6 +38,11 @@ class TransportError : public std::runtime_error {
 };
 
 class TcpTransport;
+
+/// Parses "host:port" with a numeric port in [0, 65535] (0 = ephemeral).
+/// Returns false and fills `error` on a malformed spec — never clamps.
+[[nodiscard]] bool parse_endpoint(const std::string& spec, std::string* host,
+                                  std::uint16_t* port, std::string* error);
 
 /// Listening endpoint (the "computer system" side of the USB link).
 /// `port() == 0` in the constructor binds an ephemeral port; read it back

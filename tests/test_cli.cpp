@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace tono {
 namespace {
 
@@ -161,6 +164,68 @@ TEST(ArgParser, WrongTypeAccessThrows) {
   EXPECT_THROW((void)p.flag("rate"), std::invalid_argument);
   EXPECT_THROW((void)p.double_value("verbose"), std::invalid_argument);
   EXPECT_THROW((void)p.string_value("missing"), std::invalid_argument);
+}
+
+/// A parser with one bounded flag of each kind, as the serving tools use them.
+ArgParser make_bounded_parser() {
+  ArgParser p{"prog"};
+  p.add_int("shards", "shard count", 1, {.min = 1});
+  p.add_int("port", "tcp port", 0, {.min = 0, .max = 65535});
+  p.add_double("duration", "stream length", 10.0, {.above = 0.0});
+  p.add_double("gain", "a gain", 1.0, {.min = 0.5, .max = 2.0});
+  p.add_string("policy", "ring policy", "drop", {"drop", "block"});
+  return p;
+}
+
+/// Parses `argv` with the bounded parser and returns its error ("" = ok).
+std::string bounded_error(std::vector<const char*> argv) {
+  auto p = make_bounded_parser();
+  argv.insert(argv.begin(), "prog");
+  return p.parse(static_cast<int>(argv.size()), argv.data()) ? "" : p.error();
+}
+
+TEST(ArgParserBounds, OutOfBoundsValuesFailNamingFlagAndBound) {
+  const struct {
+    std::vector<const char*> argv;
+    const char* flag;
+    const char* bound;
+  } cases[] = {
+      {{"--shards", "0"}, "--shards", ">= 1"},                  // int below min
+      {{"--duration", "0"}, "--duration", "> 0"},               // at an exclusive min
+      {{"--duration", "-0.5"}, "--duration", "> 0"},            // below it
+      {{"--port", "65536"}, "--port", "<= 65535"},              // int above max
+      {{"--gain", "2.5"}, "--gain", "<= 2"},                    // double above max
+      {{"--policy", "shed"}, "--policy", "one of drop|block"},  // outside choices
+  };
+  for (const auto& c : cases) {
+    const std::string error = bounded_error(c.argv);
+    EXPECT_NE(error.find(c.flag), std::string::npos) << c.flag << ": " << error;
+    EXPECT_NE(error.find(c.bound), std::string::npos) << c.flag << ": " << error;
+  }
+}
+
+TEST(ArgParserBounds, ValuesOnTheBoundsAreAccepted) {
+  EXPECT_EQ(bounded_error({"--shards", "1", "--port", "65535", "--gain", "2", "--duration",
+                           "1e-9", "--policy", "block"}),
+            "");
+}
+
+TEST(ArgParserBounds, BoundedDefaultsAreAccepted) {
+  auto p = make_bounded_parser();
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(p.parse(1, argv)) << p.error();
+  EXPECT_EQ(p.int_value("shards"), 1);
+  EXPECT_EQ(p.int_value("port"), 0);
+  EXPECT_DOUBLE_EQ(p.double_value("duration"), 10.0);
+  EXPECT_EQ(p.string_value("policy"), "drop");
+  EXPECT_NE(p.help_text().find("[>= 1]"), std::string::npos);
+}
+
+TEST(ArgParserBounds, DefaultOutsideBoundsThrows) {
+  ArgParser p{"prog"};
+  EXPECT_THROW(p.add_int("shards", "", 0, {.min = 1}), std::invalid_argument);
+  EXPECT_THROW(p.add_string("policy", "", "shed", {"drop", "block"}),
+               std::invalid_argument);
 }
 
 }  // namespace

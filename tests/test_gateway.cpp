@@ -1,8 +1,9 @@
 // Gateway mux/demux tests: channel isolation, corruption tolerance, the
 // ≥3-session sequence-wraparound interleaving property, backpressure
 // accounting, metrics on/off bit-exactness, and the headline determinism
-// contract — a loopback-gateway hospital is bit-identical to direct
-// in-process ingest (docs/GATEWAY.md).
+// contract — a hospital fed through the shipped loopback or TCP wiring
+// (HospitalWire) is bit-identical to direct in-process ingest
+// (docs/GATEWAY.md).
 #include "src/gateway/gateway.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -21,6 +23,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/fleet/hospital_scheduler.hpp"
+#include "src/gateway/hospital_wire.hpp"
 #include "src/gateway/tcp_transport.hpp"
 #include "src/gateway/transport.hpp"
 
@@ -353,65 +356,32 @@ TEST(GatewayMetrics, MetricsOnOffIsBitExact) {
   EXPECT_EQ(run(true), run(false));
 }
 
-/// Builds a hospital whose sessions publish through a per-shard gateway wire
-/// (mirrors examples/gateway_server.cpp), runs it, and returns the merged
-/// JSONL snapshot bytes.
-std::string run_gateway_hospital(std::size_t sessions, std::size_t shards,
-                                 double duration_s) {
+/// Runs a hospital whose sessions publish in-process (no wire) or through
+/// the shipped per-shard gateway wiring, and returns the merged JSONL
+/// snapshot bytes.
+std::string run_hospital(std::size_t sessions, std::size_t shards, double duration_s,
+                         std::optional<WireKind> wire_kind) {
   fleet::HospitalConfig config;
   config.shards = shards;
   config.threads_per_shard = 1;
   config.base_seed = 77;
   fleet::HospitalScheduler hospital{config};
-  struct ShardWire {
-    std::unique_ptr<LoopbackTransport> wire;
-    std::unique_ptr<GatewayMux> mux;
-    std::unique_ptr<GatewayDemux> demux;
-  };
-  std::vector<ShardWire> wires(shards);
-  for (auto& w : wires) {
-    w.wire = std::make_unique<LoopbackTransport>();
-    w.mux = std::make_unique<GatewayMux>(*w.wire);
-    w.demux = std::make_unique<GatewayDemux>(*w.wire);
+  std::unique_ptr<HospitalWire> wire;
+  if (wire_kind) {
+    wire = std::make_unique<HospitalWire>(hospital, sessions,
+                                          HospitalWireConfig{.kind = *wire_kind});
   }
   for (std::size_t i = 0; i < sessions; ++i) {
     fleet::SessionConfig sc;
     if (i % 2 == 1) sc.scenario = "exercise";
-    GatewayMux* mux = wires[i % shards].mux.get();
-    sc.code_sink = [mux](std::uint32_t id, std::span<const std::int16_t> codes) {
-      mux->send(id, codes);
-    };
-    const std::uint32_t id = hospital.admit(std::move(sc));
-    wires[i % shards].mux->open_channel(id);
-    wires[i % shards].demux->open_channel(id);
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto& w = wires[s];
-    w.demux->on_codes([&hospital, s](std::uint32_t id,
-                                     std::span<const std::int16_t> codes) {
-      hospital.shard(s).session(id)->ingest_codes(codes);
-    });
-    hospital.shard(s).set_batch_hook([&w] { (void)w.demux->pump(); });
+    (void)(wire ? wire->admit(std::move(sc)) : hospital.admit(std::move(sc)));
   }
   hospital.run(duration_s);
-  std::ostringstream os;
-  hospital.export_jsonl(os);
-  return os.str();
-}
-
-std::string run_direct_hospital(std::size_t sessions, std::size_t shards,
-                                double duration_s) {
-  fleet::HospitalConfig config;
-  config.shards = shards;
-  config.threads_per_shard = 1;
-  config.base_seed = 77;
-  fleet::HospitalScheduler hospital{config};
-  for (std::size_t i = 0; i < sessions; ++i) {
-    fleet::SessionConfig sc;
-    if (i % 2 == 1) sc.scenario = "exercise";
-    (void)hospital.admit(std::move(sc));
+  if (wire) {
+    const WireStats stats = wire->stats();
+    EXPECT_GT(stats.codes_sent, 0u);
+    EXPECT_EQ(stats.delivery_drops, 0u);
   }
-  hospital.run(duration_s);
   std::ostringstream os;
   hospital.export_jsonl(os);
   return os.str();
@@ -421,10 +391,22 @@ std::string run_direct_hospital(std::size_t sessions, std::size_t shards,
 // snapshot bytes identical to direct in-process ingest — the wire adds
 // latency, never different bytes.
 TEST(GatewayFleet, LoopbackIngestIsBitIdenticalToDirect) {
-  const std::string direct = run_direct_hospital(4, 2, 1.0);
-  const std::string gateway = run_gateway_hospital(4, 2, 1.0);
+  const std::string direct = run_hospital(4, 2, 1.0, std::nullopt);
+  const std::string gateway = run_hospital(4, 2, 1.0, WireKind::kLoopback);
   EXPECT_FALSE(direct.empty());
   EXPECT_EQ(direct, gateway);
+}
+
+// The same contract over real localhost sockets: TCP preserves order and
+// loses nothing, so the hospital consumes the same bytes.
+TEST(GatewayFleet, TcpIngestIsBitIdenticalToDirect) {
+  std::string gateway;
+  try {
+    gateway = run_hospital(4, 2, 1.0, WireKind::kTcp);
+  } catch (const TransportError& e) {
+    GTEST_SKIP() << "localhost sockets unavailable: " << e.what();
+  }
+  EXPECT_EQ(run_hospital(4, 2, 1.0, std::nullopt), gateway);
 }
 
 TEST(GatewayTcp, LocalhostRoundtripDeliversEveryCode) {

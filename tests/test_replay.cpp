@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,8 +19,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/fleet/hospital_scheduler.hpp"
-#include "src/gateway/gateway.hpp"
-#include "src/gateway/transport.hpp"
+#include "src/gateway/hospital_wire.hpp"
 
 namespace tono::gateway {
 namespace {
@@ -172,12 +170,12 @@ TEST(Recorder, ListSessionsFindsEveryRecordFile) {
   EXPECT_TRUE(SessionReplayer::list_sessions(dir + "_nope").empty());
 }
 
-/// Gateway-fed hospital (mirrors examples/gateway_server.cpp): live mode
-/// produces through the wire and optionally records; replay mode feeds
-/// recorded frames back with their original sequence numbers. Returns the
-/// delivered code stream per session.
+/// Gateway-fed hospital through the shipped wiring (HospitalWire): live
+/// mode produces through the wire and records into `record_dir`; replay
+/// mode feeds the recording back up to `horizon`. Returns the delivered code
+/// stream per session.
 std::map<std::uint32_t, std::vector<std::int16_t>> run_hospital(
-    const std::string& record_dir, bool replay, double duration_s,
+    const std::string& record_dir, const ReplayHorizon* horizon, double duration_s,
     std::uint64_t* consumed = nullptr) {
   constexpr std::size_t kSessions = 2;
   fleet::HospitalConfig config;
@@ -185,73 +183,25 @@ std::map<std::uint32_t, std::vector<std::int16_t>> run_hospital(
   config.threads_per_shard = 1;
   config.base_seed = 909;
   fleet::HospitalScheduler hospital{config};
-  LoopbackTransport wire;
-  GatewayMux mux{wire};
-  GatewayDemux demux{wire};
+  HospitalWireConfig wire_config;
+  if (horizon != nullptr) {
+    wire_config.replay_dir = record_dir;
+    wire_config.replay_codes_per_session = horizon->codes_per_session;
+  } else {
+    wire_config.record_dir = record_dir;
+  }
+  HospitalWire wire{hospital, kSessions, wire_config};
   std::map<std::uint32_t, std::vector<std::int16_t>> delivered;
-
+  wire.on_delivery([&](std::uint32_t id, std::span<const std::int16_t> codes) {
+    delivered[id].insert(delivered[id].end(), codes.begin(), codes.end());
+  });
   for (std::size_t i = 0; i < kSessions; ++i) {
     fleet::SessionConfig sc;
     if (i % 2 == 1) sc.scenario = "exercise";
-    if (replay) {
-      sc.external_ingest = true;
-    } else {
-      GatewayMux* m = &mux;
-      sc.code_sink = [m](std::uint32_t id, std::span<const std::int16_t> codes) {
-        m->send(id, codes);
-      };
-    }
-    const std::uint32_t id = hospital.admit(std::move(sc));
-    mux.open_channel(id);
-    demux.open_channel(id);
+    (void)wire.admit(std::move(sc));
   }
-  demux.on_codes([&](std::uint32_t id, std::span<const std::int16_t> codes) {
-    delivered[id].insert(delivered[id].end(), codes.begin(), codes.end());
-    hospital.shard(0).session(id)->ingest_codes(codes);
-  });
-
-  std::unique_ptr<SessionRecorder> recorder;
-  if (!replay && !record_dir.empty()) {
-    recorder = std::make_unique<SessionRecorder>(record_dir);
-    for (std::uint32_t id = 0; id < kSessions; ++id) recorder->open_session(id);
-    demux.on_envelope([&recorder](std::uint32_t id,
-                                  std::span<const std::uint8_t> frame,
-                                  std::uint16_t n_codes) {
-      recorder->record(id, frame, n_codes);
-    });
-  }
-
-  const std::size_t fps = config.frames_per_step;
-  std::vector<std::unique_ptr<SessionReplayer>> replayers;
-  if (replay) {
-    for (std::uint32_t id = 0; id < kSessions; ++id) {
-      replayers.push_back(std::make_unique<SessionReplayer>(record_dir, id));
-    }
-    hospital.shard(0).set_batch_hook([&] {
-      std::vector<std::uint8_t> frame;
-      std::uint16_t n_codes = 0;
-      for (auto& r : replayers) {
-        std::size_t quota = fps;
-        while (quota > 0 && r->next(frame, n_codes)) {
-          mux.send_encoded(r->session_id(), frame, n_codes);
-          quota -= std::min<std::size_t>(quota, n_codes);
-          (void)demux.pump();
-        }
-      }
-    });
-  } else {
-    hospital.shard(0).set_batch_hook([&] { (void)demux.pump(); });
-  }
-
   hospital.run(duration_s);
-  if (recorder) {
-    RecordMeta meta;
-    meta.base_seed = config.base_seed;
-    meta.sessions = kSessions;
-    meta.frames_per_step = fps;
-    meta.duration_s = duration_s;
-    EXPECT_TRUE(recorder->finalize(meta));
-  }
+  EXPECT_TRUE(wire.finalize_recording(duration_s));
   if (consumed != nullptr) *consumed = hospital.snapshot().codes_consumed;
   return delivered;
 }
@@ -262,27 +212,17 @@ std::map<std::uint32_t, std::vector<std::int16_t>> run_hospital(
 TEST(Replay, HospitalReplayReproducesTheConsumedStream) {
   const std::string dir = fresh_dir("rec_hospital");
   std::uint64_t live_consumed = 0;
-  const auto live = run_hospital(dir, /*replay=*/false, 0.5, &live_consumed);
+  const auto live = run_hospital(dir, nullptr, 0.5, &live_consumed);
   ASSERT_EQ(live.size(), 2u);
   for (const auto& [id, codes] : live) {
     EXPECT_GE(codes.size(), 500u) << "session " << id;
   }
 
-  // Replay horizon: whole batches of the shortest stream, like
-  // gateway_server's floor alignment.
-  const auto index = read_record_index(dir);
-  ASSERT_TRUE(index.has_value());
-  std::uint64_t min_codes = UINT64_MAX;
-  for (std::uint32_t id = 0; id < 2; ++id) {
-    min_codes = std::min(min_codes, SessionReplayer::scan(dir, id).codes);
-  }
-  const std::uint64_t fps = index->meta.frames_per_step;
-  const double replay_duration =
-      static_cast<double>((min_codes / fps) * fps) / 1000.0;
-
+  const ReplayHorizon horizon = replay_horizon(dir, 1);
+  ASSERT_TRUE(horizon.index.has_value());
   std::uint64_t replay_consumed = 0;
   const auto replayed =
-      run_hospital(dir, /*replay=*/true, replay_duration, &replay_consumed);
+      run_hospital(dir, &horizon, horizon.duration_s(), &replay_consumed);
   ASSERT_EQ(replayed.size(), live.size());
   for (const auto& [id, codes] : live) {
     EXPECT_EQ(replayed.at(id), codes) << "session " << id;
