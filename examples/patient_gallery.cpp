@@ -10,7 +10,6 @@
 #include "src/core/monitor.hpp"
 #include "src/core/hrv.hpp"
 #include "src/core/pwa.hpp"
-#include "src/core/quality.hpp"
 
 namespace {
 
@@ -50,8 +49,7 @@ int main() {
     }
     const auto rep = mon.monitor(30.0);
 
-    core::SignalQualityAssessor quality;
-    const auto q = quality.assess(rep.waveform_mmhg);
+    const auto& q = rep.quality;
 
     core::PulseWaveAnalyzer pwa{1000.0};
     const auto features = pwa.analyze(rep.waveform_mmhg, rep.beats, rep.time_s.front());

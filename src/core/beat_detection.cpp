@@ -21,7 +21,7 @@ BeatDetector::BeatDetector(const BeatDetectorConfig& config) : config_(config) {
   }
 }
 
-BeatAnalysis BeatDetector::analyze(std::span<const double> samples, double t0_s) const {
+BeatAnalysis BeatDetector::analyze(std::span<const double> samples) const {
   BeatAnalysis out;
   const double fs = config_.sample_rate_hz;
   const auto n = samples.size();
@@ -98,9 +98,9 @@ BeatAnalysis BeatDetector::analyze(std::span<const double> samples, double t0_s)
       ++mean_n;
     }
     Beat beat;
-    beat.upstroke_s = t0_s + static_cast<double>(up) / fs;
-    beat.foot_s = t0_s + static_cast<double>(foot) / fs;
-    beat.peak_s = t0_s + static_cast<double>(peak) / fs;
+    beat.upstroke_s = static_cast<double>(up) / fs;
+    beat.foot_s = static_cast<double>(foot) / fs;
+    beat.peak_s = static_cast<double>(peak) / fs;
     beat.systolic_value = samples[peak];
     beat.diastolic_value = samples[foot];
     beat.mean_value = mean_n > 0 ? mean_acc / static_cast<double>(mean_n) : samples[up];
@@ -115,13 +115,14 @@ BeatAnalysis BeatDetector::analyze(std::span<const double> samples, double t0_s)
   }
 
   // Reject dicrotic-wave false triggers: their pulse amplitude is a small
-  // fraction of a real beat's.
+  // fraction of a real beat's. The reference is the upper-quartile
+  // amplitude, not the median: in a slow heart's long diastole the
+  // secondary waves can outnumber the beats, and the median sits among them.
   if (out.beats.size() >= 3 && config_.min_amplitude_fraction > 0.0) {
     std::vector<double> amps;
     amps.reserve(out.beats.size());
     for (const auto& b : out.beats) amps.push_back(b.systolic_value - b.diastolic_value);
-    const double med = median(amps);
-    const double floor_amp = config_.min_amplitude_fraction * med;
+    const double floor_amp = config_.min_amplitude_fraction * percentile(amps, 75.0);
     std::vector<Beat> kept;
     kept.reserve(out.beats.size());
     for (const auto& b : out.beats) {

@@ -28,8 +28,8 @@ struct BeatDetectorConfig {
   /// Search windows around the upstroke for foot and peak [s].
   double foot_window_s{0.35};
   double peak_window_s{0.45};
-  /// Beats with pulse amplitude below this fraction of the median beat
-  /// amplitude are rejected (dicrotic-wave false triggers).
+  /// Beats with pulse amplitude below this fraction of the upper-quartile
+  /// detection amplitude are rejected (dicrotic-wave false triggers).
   double min_amplitude_fraction{0.4};
 };
 
@@ -41,6 +41,12 @@ struct Beat {
   double systolic_value{0.0};
   double diastolic_value{0.0};
   double mean_value{0.0};   ///< mean over foot..next-foot (or available span)
+
+  /// The same beat with its times moved by `t0_s` (window → stream time).
+  [[nodiscard]] Beat shifted(double t0_s) const noexcept {
+    return Beat{t0_s + upstroke_s, t0_s + foot_s, t0_s + peak_s,
+                systolic_value, diastolic_value, mean_value};
+  }
 };
 
 struct BeatAnalysis {
@@ -57,9 +63,9 @@ class BeatDetector {
  public:
   explicit BeatDetector(const BeatDetectorConfig& config = {});
 
-  /// Detects beats over a full record; `t0_s` is the time of samples[0].
-  [[nodiscard]] BeatAnalysis analyze(std::span<const double> samples,
-                                     double t0_s = 0.0) const;
+  /// Detects beats over a full record, in record-relative time (samples[0]
+  /// at 0 s); Beat::shifted moves them to stream time.
+  [[nodiscard]] BeatAnalysis analyze(std::span<const double> samples) const;
 
   [[nodiscard]] const BeatDetectorConfig& config() const noexcept { return config_; }
 

@@ -19,18 +19,15 @@ TwoPointCalibration::TwoPointCalibration(double value_at_systolic, double value_
   offset_ = cuff_diastolic_mmhg - gain_ * value_at_diastolic;
 }
 
-TwoPointCalibration TwoPointCalibration::from_waveform(std::span<const double> values,
-                                                       const BeatDetectorConfig& detector,
-                                                       double cuff_systolic_mmhg,
-                                                       double cuff_diastolic_mmhg,
-                                                       std::size_t min_beats) {
-  const BeatDetector det{detector};
-  const auto analysis = det.analyze(values);
-  if (analysis.beats.size() < min_beats) {
+TwoPointCalibration TwoPointCalibration::from_beats(const BeatAnalysis& beats,
+                                                    double cuff_systolic_mmhg,
+                                                    double cuff_diastolic_mmhg,
+                                                    std::size_t min_beats) {
+  if (beats.beats.size() < min_beats) {
     throw std::runtime_error{"TwoPointCalibration: not enough beats in calibration window"};
   }
-  return TwoPointCalibration{analysis.mean_systolic, analysis.mean_diastolic,
-                             cuff_systolic_mmhg, cuff_diastolic_mmhg};
+  return TwoPointCalibration{beats.mean_systolic, beats.mean_diastolic, cuff_systolic_mmhg,
+                             cuff_diastolic_mmhg};
 }
 
 TwoPointCalibration TwoPointCalibration::rescaled(double full_scale_ratio) const {

@@ -33,13 +33,13 @@ class TwoPointCalibration {
   TwoPointCalibration(double value_at_systolic, double value_at_diastolic,
                       double cuff_systolic_mmhg, double cuff_diastolic_mmhg);
 
-  /// Fits from a waveform: runs beat detection, averages per-beat
-  /// systolic/diastolic values and anchors them to the cuff reading.
-  /// Throws std::runtime_error if fewer than `min_beats` beats are found.
-  [[nodiscard]] static TwoPointCalibration from_waveform(
-      std::span<const double> values, const BeatDetectorConfig& detector,
-      double cuff_systolic_mmhg, double cuff_diastolic_mmhg,
-      std::size_t min_beats = 5);
+  /// Fits from a beat analysis of the calibration waveform: anchors its
+  /// mean per-beat systolic/diastolic values to the cuff reading. Throws
+  /// std::runtime_error if the analysis holds fewer than `min_beats` beats.
+  [[nodiscard]] static TwoPointCalibration from_beats(const BeatAnalysis& beats,
+                                                      double cuff_systolic_mmhg,
+                                                      double cuff_diastolic_mmhg,
+                                                      std::size_t min_beats = 5);
 
   [[nodiscard]] double to_mmhg(double value) const noexcept {
     return gain_ * value + offset_;

@@ -31,6 +31,29 @@ ChipConfig with_backpressure(ChipConfig chip, double hold_down_mmhg) {
 
 }  // namespace
 
+TwoPointCalibration calibrate_on_window(std::span<const dsp::DecimatedSample> window,
+                                        double sample_rate_hz, const bio::CuffReading& cuff,
+                                        bool enforce_quality, const std::string& who,
+                                        metrics::Counter* rejections) {
+  std::vector<double> values;
+  values.reserve(window.size());
+  for (const auto& s : window) values.push_back(s.value);
+
+  const auto beats = BeatDetector{{.sample_rate_hz = sample_rate_hz}}.analyze(values);
+  // Anchoring the calibration to noise-triggered "beats" (bad placement,
+  // dead elements) would silently produce garbage pressures.
+  if (enforce_quality) {
+    const auto quality = SignalQualityAssessor{}.assess(values, beats, sample_rate_hz);
+    if (!quality.usable) {
+      if (rejections != nullptr) rejections->add(1);
+      throw std::runtime_error{who +
+                               ": calibration window has no usable pulse signal (SQI " +
+                               std::to_string(quality.sqi) + ")"};
+    }
+  }
+  return TwoPointCalibration::from_beats(beats, cuff.systolic_mmhg, cuff.diastolic_mmhg);
+}
+
 BloodPressureMonitor::BloodPressureMonitor(const ChipConfig& chip, const WristModel& wrist)
     : chip_(with_backpressure(chip, wrist.hold_down_mmhg)),
       wrist_(wrist),
@@ -174,34 +197,11 @@ bio::CuffReading BloodPressureMonitor::calibrate(double window_s,
     throw std::runtime_error{"BloodPressureMonitor: cuff measurement failed"};
   }
 
-  // 2. Acquire the calibration window on the selected element.
-  const auto n = static_cast<std::size_t>(window_s * pipeline_.output_rate_hz());
-  const auto samples = pipeline_.acquire(contact_field(), n);
-  std::vector<double> values;
-  values.reserve(samples.size());
-  for (const auto& s : samples) values.push_back(s.value);
-
-  // 3. Gate on signal quality: anchoring the calibration to noise-triggered
-  //    "beats" (bad placement, dead elements) would silently produce garbage
-  //    pressures.
-  BeatDetectorConfig det;
-  det.sample_rate_hz = pipeline_.output_rate_hz();
-  if (enforce_quality) {
-    QualityConfig qc;
-    qc.detector = det;
-    const auto quality = SignalQualityAssessor{qc}.assess(values);
-    if (!quality.usable) {
-      quality_rejections_metric_->add(1);
-      throw std::runtime_error{
-          "BloodPressureMonitor: calibration window has no usable pulse signal (SQI " +
-          std::to_string(quality.sqi) + ")"};
-    }
-  }
-
-  // 4. Anchor per-beat extrema to the cuff systolic/diastolic values.
-  calibration_ =
-      TwoPointCalibration::from_waveform(values, det, reading.systolic_mmhg,
-                                         reading.diastolic_mmhg);
+  // 2. Acquire the calibration window on the selected element; gate and fit.
+  const double fs = pipeline_.output_rate_hz();
+  calibration_ = calibrate_on_window(
+      pipeline_.acquire(contact_field(), static_cast<std::size_t>(window_s * fs)), fs, reading,
+      enforce_quality, "BloodPressureMonitor", quality_rejections_metric_);
   return reading;
 }
 
@@ -225,13 +225,11 @@ MonitoringReport BloodPressureMonitor::monitor(double duration_s) {
     report.time_s.push_back(t_start + static_cast<double>(i) / fs_out);
   }
 
-  BeatDetectorConfig det;
-  det.sample_rate_hz = fs_out;
-  report.beats = BeatDetector{det}.analyze(report.waveform_mmhg, t_start);
-
-  QualityConfig qc;
-  qc.detector = det;
-  report.quality = SignalQualityAssessor{qc}.assess(report.waveform_mmhg);
+  // One analysis, graded in window-relative time; the report carries its
+  // beats in stream time.
+  report.beats = BeatDetector{{.sample_rate_hz = fs_out}}.analyze(report.waveform_mmhg);
+  report.quality = SignalQualityAssessor{}.assess(report.waveform_mmhg, report.beats, fs_out);
+  for (auto& beat : report.beats.beats) beat = beat.shifted(t_start);
   beats_metric_->add(report.beats.beats.size());
   last_sqi_gauge_->set(report.quality.sqi);
   report.pulse_wave =

@@ -10,6 +10,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/bio/artifacts.hpp"
@@ -50,6 +52,17 @@ struct WristModel {
   /// overrides the static pulse setpoints as the session progresses.
   std::shared_ptr<const bio::ScenarioProfile> scenario;
 };
+
+/// Cuff-anchored calibration (§3.2) shared by BloodPressureMonitor::calibrate
+/// and fleet admission: analyses the acquired calibration window once, gates
+/// on that analysis's quality grade (when `enforce_quality`) and anchors its
+/// per-beat extrema to `cuff`. An unusable window throws std::runtime_error
+/// prefixed with `who` (counted on `rejections` when given); too few beats
+/// for the fit throws TwoPointCalibration's error.
+[[nodiscard]] TwoPointCalibration calibrate_on_window(
+    std::span<const dsp::DecimatedSample> window, double sample_rate_hz,
+    const bio::CuffReading& cuff, bool enforce_quality, const std::string& who,
+    metrics::Counter* rejections = nullptr);
 
 struct MonitoringReport {
   std::vector<double> time_s;            ///< at the output rate

@@ -36,12 +36,12 @@ SignalQualityAssessor::SignalQualityAssessor(const QualityConfig& config) : conf
   }
 }
 
-QualityReport SignalQualityAssessor::assess(std::span<const double> window) const {
+QualityReport SignalQualityAssessor::assess(std::span<const double> window,
+                                            const BeatAnalysis& beats,
+                                            double fs) const {
   QualityReport rep;
   if (window.empty()) return rep;
 
-  const BeatDetector detector{config_.detector};
-  const auto beats = detector.analyze(window);
   rep.beat_count = beats.beats.size();
 
   // Artefact load: boxplot outliers. The inter-quartile range tracks the
@@ -105,7 +105,6 @@ QualityReport SignalQualityAssessor::assess(std::span<const double> window) cons
   {
     std::vector<double> sorted_iv = intervals;
     const double med_iv = sorted_iv.empty() ? 0.8 : median(sorted_iv);
-    const auto fs = config_.detector.sample_rate_hz;
     const auto seg_len = static_cast<std::size_t>(0.6 * med_iv * fs);
     const auto max_lag = static_cast<std::size_t>(0.06 * fs);
     if (seg_len >= 8) {

@@ -17,7 +17,6 @@
 namespace tono::core {
 
 struct QualityConfig {
-  BeatDetectorConfig detector{};
   /// Samples outside [p25 − k·IQR, p75 + k·IQR] count as artefact (boxplot
   /// rule, robust up to 25 % contamination). k = 3 keeps systolic peaks of
   /// any physiological pulse pressure inside the envelope.
@@ -61,11 +60,14 @@ class SignalQualityAssessor {
  public:
   explicit SignalQualityAssessor(const QualityConfig& config = {});
 
-  /// Assesses one waveform window. Total over all inputs: empty and
-  /// single-sample windows return a finite all-zero report (usable ==
-  /// false), never NaN — degenerate windows are exactly where an unattended
-  /// monitor needs a trustworthy "not usable" verdict.
-  [[nodiscard]] QualityReport assess(std::span<const double> window) const;
+  /// Grades one waveform window sampled at `sample_rate_hz` from `beats`,
+  /// the caller's BeatDetector analysis of that same window (window-relative
+  /// times). Total over all inputs: empty and single-sample windows return a
+  /// finite all-zero report (usable == false), never NaN — degenerate
+  /// windows are exactly where an unattended monitor needs a trustworthy
+  /// "not usable" verdict.
+  [[nodiscard]] QualityReport assess(std::span<const double> window, const BeatAnalysis& beats,
+                                     double sample_rate_hz) const;
 
   [[nodiscard]] const QualityConfig& config() const noexcept { return config_; }
 

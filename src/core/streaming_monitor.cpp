@@ -43,7 +43,6 @@ StreamingMonitor::StreamingMonitor(const StreamingConfig& config) : config_(conf
   alarms_raised_metric_ = &reg.counter(metrics::names::kMonitorAlarmsRaised);
   alarm_latency_gauge_ = &reg.gauge(metrics::names::kMonitorAlarmLatencyS);
   config_.detector.sample_rate_hz = config_.sample_rate_hz;
-  config_.quality.detector = config_.detector;
 }
 
 void StreamingMonitor::serialize(CheckpointWriter& out) const {
@@ -121,18 +120,16 @@ void StreamingMonitor::push(const std::vector<double>& mmhg) {
 }
 
 void StreamingMonitor::process_window() {
-  const BeatDetector detector{config_.detector};
-  const auto analysis = detector.analyze(buffer_, buffer_start_s_);
-
-  QualityReport quality;
-  {
-    const SignalQualityAssessor assessor{config_.quality};
-    quality = assessor.assess(buffer_);
-    if (quality_cb_) quality_cb_(quality, time_s_);
-  }
+  // One analysis per hop, in window-relative time: the quality gate grades
+  // it, and its beats move to stream time only as they are emitted.
+  const auto analysis = BeatDetector{config_.detector}.analyze(buffer_);
+  const auto quality =
+      SignalQualityAssessor{config_.quality}.assess(buffer_, analysis, config_.sample_rate_hz);
+  if (quality_cb_) quality_cb_(quality, time_s_);
   if (config_.gate_on_quality && !quality.usable) return;
 
-  for (const auto& beat : analysis.beats) {
+  for (const auto& window_beat : analysis.beats) {
+    const Beat beat = window_beat.shifted(buffer_start_s_);
     // Emit each beat exactly once across overlapping windows. Skip beats in
     // the last second of the window: their peak/foot search windows may be
     // truncated, and the next hop will see them completely.

@@ -7,7 +7,6 @@
 #include "src/bio/cuff.hpp"
 #include "src/common/checkpoint.hpp"
 #include "src/common/fixed_point.hpp"
-#include "src/core/quality.hpp"
 #include "src/core/scan.hpp"
 
 namespace tono::fleet {
@@ -155,27 +154,10 @@ void PatientSession::admit() {
     throw std::runtime_error{"PatientSession: cuff measurement failed"};
   }
 
-  const auto n =
-      static_cast<std::size_t>(config_.calibration_window_s * pipeline.output_rate_hz());
-  const auto samples = pipeline.acquire_block(field_, n);
-  std::vector<double> values;
-  values.reserve(samples.size());
-  for (const auto& s : samples) values.push_back(s.value);
-
-  core::BeatDetectorConfig det;
-  det.sample_rate_hz = pipeline.output_rate_hz();
-  if (config_.enforce_quality) {
-    core::QualityConfig qc;
-    qc.detector = det;
-    const auto quality = core::SignalQualityAssessor{qc}.assess(values);
-    if (!quality.usable) {
-      throw std::runtime_error{
-          "PatientSession: calibration window has no usable pulse signal (SQI " +
-          std::to_string(quality.sqi) + ")"};
-    }
-  }
-  calibration_ = core::TwoPointCalibration::from_waveform(
-      values, det, reading.systolic_mmhg, reading.diastolic_mmhg);
+  const double fs = pipeline.output_rate_hz();
+  calibration_ = core::calibrate_on_window(
+      pipeline.acquire_block(field_, static_cast<std::size_t>(config_.calibration_window_s * fs)),
+      fs, reading, config_.enforce_quality, "PatientSession");
 
   make_stream_();
   // Monitoring starts here: fault-plan onsets (stream time) map onto the

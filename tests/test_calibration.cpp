@@ -75,9 +75,8 @@ TEST(Calibration, FromWaveformRecoversPressures) {
   const double true_offset = -0.21;
   for (std::size_t i = 0; i < wave.size(); ++i) adc[i] = wave[i] * true_gain + true_offset;
 
-  BeatDetectorConfig det;
-  const auto cal = TwoPointCalibration::from_waveform(
-      adc, det, gen.mean_systolic_mmhg(), gen.mean_diastolic_mmhg());
+  const auto cal = TwoPointCalibration::from_beats(
+      BeatDetector{}.analyze(adc), gen.mean_systolic_mmhg(), gen.mean_diastolic_mmhg());
   // Recovered affine map inverts the synthetic one.
   EXPECT_NEAR(cal.gain_mmhg_per_unit(), 1.0 / true_gain, 0.1 / true_gain);
   for (std::size_t i = 0; i < adc.size(); i += 997) {
@@ -87,9 +86,8 @@ TEST(Calibration, FromWaveformRecoversPressures) {
 
 TEST(Calibration, FromWaveformThrowsWithoutBeats) {
   std::vector<double> flat(5000, 0.1);
-  BeatDetectorConfig det;
   EXPECT_THROW(
-      (void)TwoPointCalibration::from_waveform(flat, det, 120.0, 80.0),
+      (void)TwoPointCalibration::from_beats(BeatDetector{}.analyze(flat), 120.0, 80.0),
       std::runtime_error);
 }
 

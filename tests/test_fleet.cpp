@@ -8,8 +8,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/bio/population.hpp"
 #include "src/bio/pulse_generator.hpp"
 #include "src/common/metrics.hpp"
 #include "src/fleet/fault_plan.hpp"
@@ -130,6 +132,28 @@ TEST(Fleet, UnknownScenarioIsRejectedAtAdmission) {
   SessionConfig session;
   session.scenario = "zombie-apocalypse";
   EXPECT_THROW((void)scheduler.admit(std::move(session)), std::invalid_argument);
+}
+
+TEST(Fleet, SlowHeartAdmitsOnFirstTry) {
+  // In a slow heart's long diastole the secondary waves trigger the
+  // detector more often than the beats do; the dicrotic rejection must
+  // still keep only the beats, so both members admit on their first 8 s
+  // window (seed 21 member 37 used to fail all four attempts).
+  for (const auto& [seed, rate_bpm] : {std::pair{21ull, 45.0}, std::pair{27ull, 53.7}}) {
+    bio::PopulationConfig population;
+    population.seed = seed;
+    const auto member = bio::PopulationGenerator{population}.member(37);
+    EXPECT_NEAR(member.pulse.heart_rate_bpm, rate_bpm, 0.05);
+    SessionConfig config;
+    config.seed = member.seed;
+    config.scenario_profile = member.make_profile();
+    config.wrist.pulse = member.pulse;
+    config.wrist.artifacts = member.artifacts;
+    config.wrist.enable_artifacts = member.enable_artifacts;
+    PatientSession session{37, config};
+    EXPECT_NO_THROW(session.admit()) << "seed " << seed;
+    EXPECT_TRUE(session.admitted()) << "seed " << seed;
+  }
 }
 
 TEST(Fleet, ThrowingSessionIsRetriedThenRetiredNotFatal) {

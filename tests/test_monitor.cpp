@@ -53,6 +53,33 @@ TEST(Monitor, ContinuousBeyondCuffCapability) {
   EXPECT_GE(rep.beats.beats.size(), 40u);
 }
 
+TEST(Monitor, ReportIsOneAnalysisOfTheWindow) {
+  // The quality grade and the reported beats come from one analysis of the
+  // calibrated window; the beats are shifted to stream time, bit for bit.
+  BloodPressureMonitor mon{ChipConfig::paper_chip(), WristModel{}};
+  (void)mon.calibrate(10.0);
+  const auto rep = mon.monitor(12.0);
+  const double fs = mon.pipeline().output_rate_hz();
+  const auto fresh = BeatDetector{{.sample_rate_hz = fs}}.analyze(rep.waveform_mmhg);
+  const auto quality = SignalQualityAssessor{}.assess(rep.waveform_mmhg, fresh, fs);
+  EXPECT_EQ(rep.quality.sqi, quality.sqi);
+  EXPECT_EQ(rep.quality.shape_consistency, quality.shape_consistency);
+  EXPECT_EQ(rep.quality.beat_count, quality.beat_count);
+  EXPECT_EQ(rep.beats.heart_rate_bpm, fresh.heart_rate_bpm);
+  EXPECT_EQ(rep.beats.interval_stddev_s, fresh.interval_stddev_s);
+  EXPECT_EQ(rep.beats.mean_systolic, fresh.mean_systolic);
+  ASSERT_EQ(rep.beats.beats.size(), fresh.beats.size());
+  ASSERT_GE(fresh.beats.size(), 10u);
+  const double t0 = rep.time_s.front();
+  EXPECT_GT(t0, 9.0);  // stream time: after the 10 s calibration window
+  for (std::size_t i = 0; i < fresh.beats.size(); ++i) {
+    EXPECT_EQ(rep.beats.beats[i].upstroke_s, t0 + fresh.beats[i].upstroke_s);
+    EXPECT_EQ(rep.beats.beats[i].foot_s, t0 + fresh.beats[i].foot_s);
+    EXPECT_EQ(rep.beats.beats[i].peak_s, t0 + fresh.beats[i].peak_s);
+    EXPECT_EQ(rep.beats.beats[i].systolic_value, fresh.beats[i].systolic_value);
+  }
+}
+
 TEST(Monitor, ReportIncludesQualityAndPwa) {
   BloodPressureMonitor mon{ChipConfig::paper_chip(), WristModel{}};
   (void)mon.calibrate(10.0);

@@ -117,7 +117,8 @@ TEST(Pwa, RejectsBadRate) {
 TEST(Pwa, T0ConsistentTimes) {
   const auto p = prepare(steady(), 10.0);
   const double t0 = 55.0;
-  const auto beats = BeatDetector{}.analyze(p.wave, t0);
+  auto beats = BeatDetector{}.analyze(p.wave);
+  for (auto& b : beats.beats) b = b.shifted(t0);
   const auto s = PulseWaveAnalyzer{}.analyze(p.wave, beats, t0);
   for (const auto& f : s.per_beat) {
     EXPECT_GE(f.dpdt_max_time_s, t0);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/bio/pulse_generator.hpp"
@@ -212,6 +213,30 @@ std::vector<std::uint8_t> checkpoint_of(const StreamingMonitor& mon) {
   return out.finish(1);
 }
 
+/// A checkpoint of a monitor with `buffered` samples of 100 mmHg, `since_hop`
+/// samples into its hop, clock and window start at `t0_s`, and no history.
+std::vector<std::uint8_t> monitor_state(std::size_t buffered, std::size_t since_hop,
+                                        double t0_s = 0.0) {
+  CheckpointWriter out;
+  out.section("streaming_monitor");
+  out.size(buffered);
+  for (std::size_t i = 0; i < buffered; ++i) out.f64(100.0);
+  out.size(since_hop);
+  out.f64(t0_s);  // clock
+  out.f64(t0_s);  // window start
+  out.f64(0.0);   // last beat
+  out.size(0);    // beats emitted
+  out.f64(0.0);   // last rate
+  out.size(6);
+  for (int i = 0; i < 6; ++i) {
+    out.size(0);
+    out.size(0);
+    out.boolean(false);
+    out.f64(0.0);
+  }
+  return out.finish(1);
+}
+
 // push() compacts its buffer only at hops, so between hops it holds the
 // window plus the hop in progress. A checkpoint taken at any sample must
 // restore, round-trip its bytes and continue exactly like the monitor that
@@ -260,27 +285,9 @@ TEST(StreamingMonitor, RestoreRejectsUnreachableHopStates) {
   const StreamingConfig config;
   const std::size_t window = 8000;
   const std::size_t hop = 2000;
-  const auto blob = [](std::size_t buffered, std::size_t since_hop) {
-    CheckpointWriter out;
-    out.section("streaming_monitor");
-    out.size(buffered);
-    for (std::size_t i = 0; i < buffered; ++i) out.f64(100.0);
-    out.size(since_hop);
-    for (int i = 0; i < 3; ++i) out.f64(0.0);  // clock, window start, last beat
-    out.size(0);                                 // beats emitted
-    out.f64(0.0);                                // last rate
-    out.size(6);
-    for (int i = 0; i < 6; ++i) {
-      out.size(0);
-      out.size(0);
-      out.boolean(false);
-      out.f64(0.0);
-    }
-    return out.finish(1);
-  };
   const auto restores = [&](std::size_t buffered, std::size_t since_hop) {
     StreamingMonitor mon{config};
-    CheckpointReader in{blob(buffered, since_hop)};
+    CheckpointReader in{monitor_state(buffered, since_hop)};
     try {
       mon.restore(in);
       return true;
@@ -298,6 +305,89 @@ TEST(StreamingMonitor, RestoreRejectsUnreachableHopStates) {
   EXPECT_FALSE(restores(window + 5, 4));
   EXPECT_FALSE(restores(window + hop, hop));      // compacted at the hop
   EXPECT_FALSE(restores(window + hop + 1, 1));
+}
+
+void expect_same(const QualityReport& a, const QualityReport& b) {
+  EXPECT_EQ(a.sqi, b.sqi);
+  EXPECT_EQ(a.interval_cv, b.interval_cv);
+  EXPECT_EQ(a.amplitude_cv, b.amplitude_cv);
+  EXPECT_EQ(a.artifact_fraction, b.artifact_fraction);
+  EXPECT_EQ(a.pulse_snr, b.pulse_snr);
+  EXPECT_EQ(a.shape_consistency, b.shape_consistency);
+  EXPECT_EQ(a.beat_count, b.beat_count);
+  EXPECT_EQ(a.usable, b.usable);
+}
+
+/// The heart rate the monitor last evaluated alarms with, from its checkpoint.
+double last_rate_of(const StreamingMonitor& mon) {
+  CheckpointReader in{checkpoint_of(mon)};
+  in.section("streaming_monitor");
+  for (std::size_t n = in.size(); n > 0; --n) (void)in.f64();
+  (void)in.size();                            // since hop
+  for (int i = 0; i < 3; ++i) (void)in.f64();  // clock, window start, last beat
+  (void)in.size();                            // beats emitted
+  return in.f64();
+}
+
+struct HopRun {
+  std::size_t beats{0};
+  std::vector<double> rates;  ///< last_rate_of at every hop
+};
+
+/// Streams `wave` through a fresh monitor whose clock starts at `t0_s`, and
+/// checks every hop against one fresh analysis of its window: the hop's
+/// quality report is that analysis's grade and every beat it emits is one of
+/// its beats shifted by the window start, bit for bit.
+HopRun run_checked_hops(const std::vector<double>& wave, double t0_s) {
+  const std::size_t window = 8000;
+  StreamingMonitor mon{StreamingConfig{}};
+  CheckpointReader in{monitor_state(0, 0, t0_s)};
+  mon.restore(in);
+
+  HopRun run;
+  std::size_t pushed = 0;
+  BeatAnalysis fresh;
+  double start_s = 0.0;
+  mon.on_quality([&](const QualityReport& q, double) {
+    const std::span<const double> w{wave.data() + (pushed - window), window};
+    fresh = BeatDetector{}.analyze(w);
+    start_s = t0_s + static_cast<double>(pushed - window) / 1000.0;
+    expect_same(q, SignalQualityAssessor{}.assess(w, fresh, 1000.0));
+    run.rates.push_back(last_rate_of(mon));
+  });
+  mon.on_beat([&](const Beat& b) {
+    std::size_t matches = 0;
+    for (const auto& f : fresh.beats) {
+      const Beat s = f.shifted(start_s);
+      if (s.upstroke_s != b.upstroke_s) continue;
+      ++matches;
+      EXPECT_EQ(s.foot_s, b.foot_s);
+      EXPECT_EQ(s.peak_s, b.peak_s);
+      EXPECT_EQ(s.systolic_value, b.systolic_value);
+      EXPECT_EQ(s.diastolic_value, b.diastolic_value);
+      EXPECT_EQ(s.mean_value, b.mean_value);
+    }
+    EXPECT_EQ(matches, 1u) << "beat at " << b.upstroke_s;
+    ++run.beats;
+  });
+  for (const double v : wave) {
+    ++pushed;
+    mon.push(v);
+  }
+  run.rates.push_back(last_rate_of(mon));
+  return run;
+}
+
+TEST(StreamingMonitor, HopGradesAndEmitsOneAnalysisOfItsWindow) {
+  // Ten hours into the stream the same samples emit the same beats at the
+  // same rates: analysis is window-relative, only emission shifts.
+  const auto wave = pulse_wave(steady(), 20.0);
+  const HopRun at_start = run_checked_hops(wave, 0.0);
+  const HopRun ten_hours_in = run_checked_hops(wave, 36000.0);
+  EXPECT_GE(at_start.beats, 10u);
+  EXPECT_EQ(ten_hours_in.beats, at_start.beats);
+  EXPECT_EQ(ten_hours_in.rates, at_start.rates);
+  EXPECT_GT(at_start.rates.back(), 0.0);
 }
 
 TEST(StreamingMonitor, AlarmToString) {
