@@ -23,8 +23,9 @@ ArterialPulseGenerator::ArterialPulseGenerator(const PulseConfig& config)
 void ArterialPulseGenerator::start_new_beat(double onset_s) {
   // Nominal interval modulated by Mayer wave, RSA and white jitter. All
   // slow-wave phases are evaluated at the beat's scheduled onset (not the
-  // sampling clock), so a large dt that spans several beats produces the
-  // same beat train as fine-grained stepping would.
+  // sampling clock), and every random draw happens here, once per beat, so
+  // any sampling step — one that spans several beats included — produces
+  // the same beat train.
   const double nominal = 60.0 / config_.heart_rate_bpm;
   const double mayer =
       config_.mayer_depth * std::sin(units::two_pi * config_.mayer_freq_hz * onset_s);
@@ -38,6 +39,14 @@ void ArterialPulseGenerator::start_new_beat(double onset_s) {
   }
   interval = std::max(interval, 0.3 * nominal);
   const double prev_interval = beat_interval_s_;
+  // The setpoint drift is a random walk that only the per-beat setpoints
+  // read, so it steps from onset to onset with variance σ²·(elapsed time):
+  // the same law as any finer walk sampled at the onsets, and independent
+  // of the rate the waveform is sampled at.
+  if (onset_s > beat_start_s_) {
+    drift_mmhg_ += config_.drift_mmhg_per_sqrt_s * std::sqrt(onset_s - beat_start_s_) *
+                   rng_.gaussian();
+  }
   beat_interval_s_ = interval;
   beat_start_s_ = onset_s;
 
@@ -102,9 +111,6 @@ std::vector<BeatTruth> ArterialPulseGenerator::drain_truth() {
 double ArterialPulseGenerator::sample(double dt_s) {
   if (dt_s <= 0.0) throw std::invalid_argument{"ArterialPulseGenerator: dt must be > 0"};
   time_s_ += dt_s;
-
-  // Drift as a random walk, scaled with sqrt(dt).
-  drift_mmhg_ += config_.drift_mmhg_per_sqrt_s * std::sqrt(dt_s) * rng_.gaussian();
 
   // Close out *every* beat the step crossed — a dt spanning several beat
   // intervals must emit each beat's truth, not merge them into one.

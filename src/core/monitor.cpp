@@ -66,6 +66,7 @@ BloodPressureMonitor::BloodPressureMonitor(const ChipConfig& chip, const WristMo
   arterial_mmhg_ = wrist_.pulse.diastolic_mmhg;
   map_estimate_mmhg_ =
       (wrist_.pulse.systolic_mmhg + 2.0 * wrist_.pulse.diastolic_mmhg) / 3.0;
+  if (wrist_.enable_thermal_drift) set_die_temperature_(0.0);
   auto& reg = metrics::Registry::global();
   sessions_metric_ = &reg.counter(metrics::names::kMonitorSessions);
   beats_metric_ = &reg.counter(metrics::names::kMonitorBeats);
@@ -97,26 +98,37 @@ void BloodPressureMonitor::stream_over_link_(
 }
 
 void BloodPressureMonitor::advance_to(double t_s) {
-  const double dt = 1.0 / chip_.modulator.sampling_rate_hz;
-  if (wrist_.scenario && t_s - last_scenario_apply_s_ > 0.1) {
-    wrist_.scenario->apply(*pulse_, t_s);
-    last_scenario_apply_s_ = t_s;
-  }
-  while (sim_time_s_ + dt * 0.5 < t_s) {
+  // Physiology steps once per output frame and holds for the whole frame:
+  // a field evaluated at any clock of frame k reads physiology step k. The
+  // frame rate is the only rate anything downstream reads, so finer steps
+  // would be simulated and thrown away.
+  const double f_clk = chip_.modulator.sampling_rate_hz;
+  const std::size_t osr = chip_.decimation.total_decimation;
+  const auto frame =
+      static_cast<std::uint64_t>(std::max(0.0, std::round(t_s * f_clk))) / osr;
+  if (frame <= physiology_steps_) return;
+  const double dt = static_cast<double>(osr) / f_clk;
+  while (physiology_steps_ < frame) {
+    const double step_start_s = static_cast<double>(physiology_steps_) * dt;
+    const double step_end_s = static_cast<double>(physiology_steps_ + 1) * dt;
+    if (wrist_.scenario && step_end_s - last_scenario_apply_s_ > 0.1) {
+      wrist_.scenario->apply(*pulse_, step_end_s);
+      last_scenario_apply_s_ = step_end_s;
+    }
     arterial_mmhg_ = pulse_->sample(dt);
     if (artifacts_) artifact_mmhg_ = artifacts_->next(dt);
-    if (sim_time_s_ < kMapReferenceFreezeS) {
-      const double alpha = dt / kMapEmaTauS;
-      map_estimate_mmhg_ += alpha * (arterial_mmhg_ - map_estimate_mmhg_);
+    if (step_start_s < kMapReferenceFreezeS) {
+      map_estimate_mmhg_ += dt / kMapEmaTauS * (arterial_mmhg_ - map_estimate_mmhg_);
     }
-    sim_time_s_ += dt;
+    ++physiology_steps_;
   }
-  if (wrist_.enable_thermal_drift) {
-    const double warm = 1.0 - std::exp(-t_s / wrist_.thermal_tau_s);
-    pipeline_.set_temperature(
-        wrist_.ambient_temperature_k +
-        (wrist_.skin_temperature_k - wrist_.ambient_temperature_k) * warm);
-  }
+  if (wrist_.enable_thermal_drift) set_die_temperature_(static_cast<double>(frame) * dt);
+}
+
+void BloodPressureMonitor::set_die_temperature_(double t_s) {
+  const double warm = 1.0 - std::exp(-t_s / wrist_.thermal_tau_s);
+  pipeline_.set_temperature(wrist_.ambient_temperature_k +
+                            (wrist_.skin_temperature_k - wrist_.ambient_temperature_k) * warm);
 }
 
 void BloodPressureMonitor::serialize(CheckpointWriter& out) const {
@@ -126,7 +138,7 @@ void BloodPressureMonitor::serialize(CheckpointWriter& out) const {
   out.boolean(artifacts_ != nullptr);
   if (artifacts_) artifacts_->serialize(out);
   calibration_.serialize(out);
-  out.f64(sim_time_s_);
+  out.u64(physiology_steps_);
   out.f64(arterial_mmhg_);
   out.f64(artifact_mmhg_);
   out.f64(map_estimate_mmhg_);
@@ -145,7 +157,7 @@ void BloodPressureMonitor::restore(CheckpointReader& in) {
   }
   if (artifacts_) artifacts_->restore(in);
   calibration_.restore(in);
-  sim_time_s_ = in.f64();
+  physiology_steps_ = in.u64();
   arterial_mmhg_ = in.f64();
   artifact_mmhg_ = in.f64();
   map_estimate_mmhg_ = in.f64();
@@ -199,9 +211,10 @@ bio::CuffReading BloodPressureMonitor::calibrate(double window_s,
 
   // 2. Acquire the calibration window on the selected element; gate and fit.
   const double fs = pipeline_.output_rate_hz();
-  calibration_ = calibrate_on_window(
-      pipeline_.acquire(contact_field(), static_cast<std::size_t>(window_s * fs)), fs, reading,
-      enforce_quality, "BloodPressureMonitor", quality_rejections_metric_);
+  const auto window =
+      pipeline_.acquire_block(contact_field(), static_cast<std::size_t>(window_s * fs));
+  calibration_ = calibrate_on_window(window, fs, reading, enforce_quality,
+                                     "BloodPressureMonitor", quality_rejections_metric_);
   return reading;
 }
 
@@ -213,7 +226,7 @@ MonitoringReport BloodPressureMonitor::monitor(double duration_s) {
   const auto n = static_cast<std::size_t>(duration_s * fs_out);
   const double t_start = pipeline_.time_s();
 
-  const auto samples = pipeline_.acquire(contact_field(), n);
+  const auto samples = pipeline_.acquire_block(contact_field(), n);
   stream_over_link_(samples);
   std::vector<double> values;
   values.reserve(samples.size());

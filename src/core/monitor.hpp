@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -128,7 +129,9 @@ class BloodPressureMonitor {
     return monitor_adaptive(duration_s, AdaptiveConfig{});
   }
 
-  /// The contact field the chip sees (exposed for benches/tests).
+  /// The contact field the chip sees (exposed for benches/tests). It holds
+  /// the physiology for a whole output frame, so the scalar acquire() and
+  /// acquire_block() read the same pressures.
   [[nodiscard]] ContactField contact_field();
 
   /// Link statistics of the simulated FPGA→host connection every monitor()
@@ -155,8 +158,10 @@ class BloodPressureMonitor {
   void restore(CheckpointReader& in);
 
  private:
-  /// Arterial pressure and artefacts advanced to pipeline time.
+  /// Arterial pressure, artefacts, MAP reference, scenario and die
+  /// temperature advanced to the output frame that contains time `t_s`.
   void advance_to(double t_s);
+  void set_die_temperature_(double t_s);
 
   /// Runs the acquired 12-bit codes over the simulated FPGA→host frame
   /// protocol, feeding the telemetry instrumentation.
@@ -169,8 +174,8 @@ class BloodPressureMonitor {
   bio::TissueCoupling tissue_;
   std::unique_ptr<bio::ArtifactInjector> artifacts_;
   TwoPointCalibration calibration_;
-  // Cached physiological state at the current pipeline time.
-  double sim_time_s_{0.0};
+  // Physiological state of the current output frame; one step per frame.
+  std::uint64_t physiology_steps_{0};
   double arterial_mmhg_{0.0};
   double artifact_mmhg_{0.0};
   double map_estimate_mmhg_{0.0};

@@ -47,16 +47,16 @@ void AcquisitionPipeline::select(std::size_t row, std::size_t col) {
   if (row == mux_.selected_row() && col == mux_.selected_col()) return;
   mux_.note_preswitch_capacitance(last_capacitance_);
   mux_.select(row, col);
-  last_switch_s_ = time_s_;
+  last_switch_clock_ = clocks_;
 }
 
 std::optional<dsp::DecimatedSample> AcquisitionPipeline::clock(double contact_pressure_pa) {
   const auto& elem = array_.element(mux_.selected_row(), mux_.selected_col());
   const double c_target = elem.capacitance(contact_pressure_pa, temperature_k_);
-  const double c_seen = mux_.observed_capacitance(c_target, time_s_ - last_switch_s_);
+  const double c_seen = mux_.observed_capacitance(c_target, since_switch_s_());
   last_capacitance_ = c_seen;
   const int bit = modulator_.step_capacitive(c_seen, array_.reference_capacitance());
-  time_s_ += 1.0 / clock_rate_hz();
+  ++clocks_;
   auto sample = chain_.push(bit);
   if (sample) record_frame_(/*block_path=*/false);
   return sample;
@@ -64,7 +64,7 @@ std::optional<dsp::DecimatedSample> AcquisitionPipeline::clock(double contact_pr
 
 dsp::DecimatedSample AcquisitionPipeline::clock_block(double contact_pressure_pa) {
   const std::size_t n = config_.decimation.total_decimation;
-  if (!mux_.is_settled(time_s_ - last_switch_s_)) {
+  if (!mux_.is_settled(since_switch_s_())) {
     // Mux transient still decaying (only right after select() / reset()):
     // the per-clock blend matters, so run the frame through the scalar path.
     // Any `n` consecutive clocks contain exactly one output instant.
@@ -83,11 +83,7 @@ dsp::DecimatedSample AcquisitionPipeline::clock_block(double contact_pressure_pa
   last_capacitance_ = c_target;
   modulator_.step_capacitive_block(c_target, array_.reference_capacitance(),
                                    bit_scratch_.data(), n);
-  // Advance time with the same n sequential additions as n scalar clocks:
-  // double addition is order-sensitive, and time_s_ must stay bit-identical
-  // between the scalar and block paths.
-  const double dt = 1.0 / clock_rate_hz();
-  for (std::size_t i = 0; i < n; ++i) time_s_ += dt;
+  clocks_ += n;
   const auto sample = chain_.push_frame({bit_scratch_.data(), n});
   record_frame_(/*block_path=*/true);
   return sample;
@@ -99,7 +95,7 @@ std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire(const ContactFiel
   std::vector<dsp::DecimatedSample> out;
   out.reserve(n_out);
   while (out.size() < n_out) {
-    const double p = field(pos.x_m, pos.y_m, time_s_);
+    const double p = field(pos.x_m, pos.y_m, time_s());
     if (auto s = clock(p)) out.push_back(*s);
   }
   return out;
@@ -110,7 +106,7 @@ std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire_uniform(
   std::vector<dsp::DecimatedSample> out;
   out.reserve(n_out);
   while (out.size() < n_out) {
-    if (auto s = clock(pressure_pa_of_t(time_s_))) out.push_back(*s);
+    if (auto s = clock(pressure_pa_of_t(time_s()))) out.push_back(*s);
   }
   return out;
 }
@@ -121,7 +117,7 @@ std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire_block(const Conta
   std::vector<dsp::DecimatedSample> out;
   out.reserve(n_out);
   for (std::size_t i = 0; i < n_out; ++i) {
-    const double p = field(pos.x_m, pos.y_m, time_s_);
+    const double p = field(pos.x_m, pos.y_m, time_s());
     out.push_back(clock_block(p));
   }
   return out;
@@ -132,7 +128,7 @@ std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire_uniform_block(
   std::vector<dsp::DecimatedSample> out;
   out.reserve(n_out);
   for (std::size_t i = 0; i < n_out; ++i) {
-    out.push_back(clock_block(pressure_pa_of_t(time_s_)));
+    out.push_back(clock_block(pressure_pa_of_t(time_s())));
   }
   return out;
 }
@@ -140,8 +136,8 @@ std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire_uniform_block(
 void AcquisitionPipeline::reset() {
   modulator_.reset();
   chain_.reset();
-  time_s_ = 0.0;
-  last_switch_s_ = 0.0;
+  clocks_ = 0;
+  last_switch_clock_ = 0;
   last_capacitance_ = array_.reference_capacitance();
 }
 
@@ -159,8 +155,8 @@ void AcquisitionPipeline::serialize(CheckpointWriter& out) const {
   mux_.serialize(out);
   modulator_.serialize(out);
   chain_.serialize(out);
-  out.f64(time_s_);
-  out.f64(last_switch_s_);
+  out.u64(clocks_);
+  out.u64(last_switch_clock_);
   out.f64(last_capacitance_);
   out.f64(temperature_k_);
 }
@@ -172,8 +168,11 @@ void AcquisitionPipeline::restore(CheckpointReader& in) {
   mux_.restore(in);
   modulator_.restore(in);
   chain_.restore(in);
-  time_s_ = in.f64();
-  last_switch_s_ = in.f64();
+  clocks_ = in.u64();
+  last_switch_clock_ = in.u64();
+  if (last_switch_clock_ > clocks_) {
+    throw CheckpointError{"pipeline checkpoint switched the mux after its own clock"};
+  }
   last_capacitance_ = in.f64();
   temperature_k_ = in.f64();
 }
@@ -215,14 +214,11 @@ void ArrayAcquisition::acquire_frame(const ContactField& field,
     const auto& elem = array_.element(k);
     const auto& pos = elem.position();
     c_sense_[k] =
-        elem.capacitance(field(pos.x_m, pos.y_m, time_s_), temperature_k_);
+        elem.capacitance(field(pos.x_m, pos.y_m, time_s()), temperature_k_);
   }
   bank_.step_capacitive_block(c_sense_.data(), c_ref_.data(),
                               bit_scratch_.data(), n);
-  // Same n sequential additions as n single-pipeline clocks, so time stamps
-  // agree bit-for-bit with the mux-free single-element pipeline.
-  const double dt = 1.0 / clock_rate_hz();
-  for (std::size_t i = 0; i < n; ++i) time_s_ += dt;
+  clocks_ += n;
   for (std::size_t k = 0; k < lanes; ++k) {
     if (bank_.lane_enabled(k)) {
       out[k] = chains_[k].push_frame({bit_scratch_.data() + k * n, n});
@@ -248,7 +244,7 @@ std::vector<std::vector<dsp::DecimatedSample>> ArrayAcquisition::acquire_block(
 void ArrayAcquisition::reset() {
   bank_.reset();
   for (auto& chain : chains_) chain.reset();
-  time_s_ = 0.0;
+  clocks_ = 0;
 }
 
 double ArrayAcquisition::output_rate_hz() const noexcept {
@@ -261,7 +257,7 @@ void ArrayAcquisition::serialize(CheckpointWriter& out) const {
   bank_.serialize(out);
   out.size(chains_.size());
   for (const auto& chain : chains_) chain.serialize(out);
-  out.f64(time_s_);
+  out.u64(clocks_);
   out.f64(temperature_k_);
 }
 
@@ -273,7 +269,7 @@ void ArrayAcquisition::restore(CheckpointReader& in) {
     throw CheckpointError{"array acquisition checkpoint chain count mismatch"};
   }
   for (auto& chain : chains_) chain.restore(in);
-  time_s_ = in.f64();
+  clocks_ = in.u64();
   temperature_k_ = in.f64();
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -61,10 +62,11 @@ class AcquisitionPipeline {
 
   /// Block-mode acquire: evaluates the contact field once per output frame
   /// (piecewise-constant pressure over each 1 kHz output period) instead of
-  /// once per 128 kHz clock. Several times faster than acquire(); not
-  /// bit-identical to it, since acquire() re-samples the field every clock —
-  /// physically the two differ by sub-sample pressure motion within one
-  /// output period.
+  /// once per 128 kHz clock. Several times faster than acquire(). For a
+  /// field that only changes at frame boundaries — BloodPressureMonitor's
+  /// contact field holds its physiology for the whole frame — the two are
+  /// bit-identical; a field that moves within a frame differs by that
+  /// sub-sample motion.
   [[nodiscard]] std::vector<dsp::DecimatedSample> acquire_block(const ContactField& field,
                                                                 std::size_t n_out);
 
@@ -77,7 +79,13 @@ class AcquisitionPipeline {
 
   [[nodiscard]] double clock_rate_hz() const noexcept;
   [[nodiscard]] double output_rate_hz() const noexcept;
-  [[nodiscard]] double time_s() const noexcept { return time_s_; }
+  /// Modulator clocks since construction or reset(). Time is derived from
+  /// this count, never accumulated, so it cannot drift over a long session.
+  [[nodiscard]] std::uint64_t clocks() const noexcept { return clocks_; }
+  /// Pipeline time [s]: clocks() / clock_rate_hz(), exactly.
+  [[nodiscard]] double time_s() const noexcept {
+    return static_cast<double>(clocks_) / clock_rate_hz();
+  }
 
   /// Capacitance difference corresponding to a full-scale output.
   [[nodiscard]] double delta_c_full_scale() const noexcept {
@@ -108,7 +116,7 @@ class AcquisitionPipeline {
   [[nodiscard]] const ChipConfig& config() const noexcept { return config_; }
 
   /// Checkpointing: array fault state, mux, modulator (including a
-  /// runtime-switched feedback capacitor), decimation chain, clock time and
+  /// runtime-switched feedback capacitor), decimation chain, clock count and
   /// mux-transient bookkeeping. Per-frame scratch is transient.
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
@@ -119,13 +127,18 @@ class AcquisitionPipeline {
   /// from the 128 kHz clock loop itself — only when a sample emerges.
   void record_frame_(bool block_path);
 
+  /// Time since the last select() [s], from the integer clock counts.
+  [[nodiscard]] double since_switch_s_() const noexcept {
+    return static_cast<double>(clocks_ - last_switch_clock_) / clock_rate_hz();
+  }
+
   ChipConfig config_;
   SensorArray array_;
   analog::AnalogMux mux_;
   analog::DeltaSigmaModulator modulator_;
   dsp::DecimationChain chain_;
-  double time_s_{0.0};
-  double last_switch_s_{0.0};
+  std::uint64_t clocks_{0};
+  std::uint64_t last_switch_clock_{0};
   double last_capacitance_{0.0};
   double temperature_k_{300.0};
   std::vector<int> bit_scratch_;  ///< per-frame modulator bits for clock_block
@@ -174,7 +187,10 @@ class ArrayAcquisition {
     return config_.modulator.sampling_rate_hz;
   }
   [[nodiscard]] double output_rate_hz() const noexcept;
-  [[nodiscard]] double time_s() const noexcept { return time_s_; }
+  [[nodiscard]] std::uint64_t clocks() const noexcept { return clocks_; }
+  [[nodiscard]] double time_s() const noexcept {
+    return static_cast<double>(clocks_) / clock_rate_hz();
+  }
   void set_temperature(double kelvin) noexcept { temperature_k_ = kelvin; }
   [[nodiscard]] const SensorArray& array() const noexcept { return array_; }
   [[nodiscard]] analog::ModulatorBank& bank() noexcept { return bank_; }
@@ -188,7 +204,7 @@ class ArrayAcquisition {
   }
 
   /// Checkpointing: array faults, every lane's modulator, every decimation
-  /// chain, frame clock and die temperature.
+  /// chain, clock count and die temperature.
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 
@@ -197,7 +213,7 @@ class ArrayAcquisition {
   SensorArray array_;
   analog::ModulatorBank bank_;
   std::vector<dsp::DecimationChain> chains_;  ///< one per lane
-  double time_s_{0.0};
+  std::uint64_t clocks_{0};
   double temperature_k_{300.0};
   std::vector<double> c_sense_;  ///< per-lane scratch
   std::vector<double> c_ref_;

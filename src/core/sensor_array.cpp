@@ -1,5 +1,10 @@
 #include "src/core/sensor_array.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "src/common/checkpoint.hpp"
@@ -9,16 +14,73 @@ namespace tono::core {
 namespace {
 
 constexpr std::size_t kLutPoints = 241;
+/// Distinct membrane physics kept at once; a sweep past this starts over.
+constexpr std::size_t kMaxCachedTables = 64;
+
+double lut_knot(double lo_pa, double hi_pa, std::size_t i) {
+  return lo_pa + (hi_pa - lo_pa) * static_cast<double>(i) / (kLutPoints - 1);
+}
+
+/// The plate, stack, electrode and load numbers behind
+/// capacitance_at_pressure(p − backpressure) over the LUT range, bit for
+/// bit. Mismatch and tempco are left out: at 300 K they are a final
+/// multiply, applied per element.
+std::vector<std::uint64_t> lut_key(const mems::TransducerConfig& tc, double lo_pa,
+                                   double hi_pa) {
+  std::vector<std::uint64_t> key;
+  const auto add = [&key](double v) { key.push_back(std::bit_cast<std::uint64_t>(v)); };
+  add(tc.plate.side_length_m);
+  for (const auto& layer : tc.plate.stack.layers()) {
+    add(layer.thickness_m);
+    add(layer.material.youngs_modulus_pa);
+    add(layer.material.poisson_ratio);
+    add(layer.material.density_kg_m3);
+    add(layer.material.residual_stress_pa);
+  }
+  add(tc.capacitor.gap_m);
+  add(tc.capacitor.electrode_coverage);
+  add(tc.capacitor.parasitic_f);
+  add(tc.capacitor.gap_permittivity);
+  add(tc.backpressure_pa);
+  add(lo_pa);
+  add(hi_pa);
+  return key;
+}
+
+/// The membrane capacitances at the LUT knots before mismatch, computed
+/// once per physics and range for the whole process: each is a quadrature
+/// integral, and every element of every session with the same chip shares
+/// them.
+std::shared_ptr<const std::vector<double>> raw_capacitances(
+    const mems::PressureTransducer& transducer, double lo_pa, double hi_pa) {
+  static std::mutex mutex;
+  static std::map<std::vector<std::uint64_t>, std::shared_ptr<const std::vector<double>>>
+      tables;
+  auto key = lut_key(transducer.config(), lo_pa, hi_pa);
+  const std::lock_guard lock{mutex};
+  if (const auto it = tables.find(key); it != tables.end()) return it->second;
+  auto raw = std::make_shared<std::vector<double>>(kLutPoints);
+  const double backpressure = transducer.config().backpressure_pa;
+  for (std::size_t i = 0; i < kLutPoints; ++i) {
+    (*raw)[i] = transducer.capacitor().capacitance_at_pressure(lut_knot(lo_pa, hi_pa, i) -
+                                                              backpressure);
+  }
+  if (tables.size() >= kMaxCachedTables) tables.clear();
+  tables.emplace(std::move(key), raw);
+  return raw;
+}
 
 CubicSpline build_lut(const mems::PressureTransducer& transducer, double lo_pa,
                       double hi_pa) {
+  const auto raw = raw_capacitances(transducer, lo_pa, hi_pa);
+  const double mismatch = transducer.config().capacitance_mismatch;
   std::vector<double> ps(kLutPoints);
   std::vector<double> cs(kLutPoints);
   for (std::size_t i = 0; i < kLutPoints; ++i) {
-    const double p =
-        lo_pa + (hi_pa - lo_pa) * static_cast<double>(i) / (kLutPoints - 1);
-    ps[i] = p;
-    cs[i] = transducer.capacitance(p);
+    ps[i] = lut_knot(lo_pa, hi_pa, i);
+    // PressureTransducer::capacitance at 300 K is c · mismatch · 1.0: the
+    // same product, so the knots are bit-identical to exact calls.
+    cs[i] = (*raw)[i] * mismatch;
   }
   return CubicSpline{ps, cs};
 }

@@ -5,6 +5,8 @@
 // once per 128 kHz modulator clock, so each element precomputes a cubic-
 // spline C(p) table over the operating pressure range at construction
 // (modelling error < 0.01 % of the capacitance swing, verified in tests).
+// The quadrature runs once per membrane physics and range per process; an
+// element scales that shared table by its own mismatch.
 // Elements carry individual mismatch, mirroring a fabricated die; positions
 // follow the 150 µm pitch so the bio lateral-sensitivity model can attach.
 #pragma once

@@ -82,7 +82,7 @@ struct HospitalConfig {
 
 /// Schema version of the whole-hospital checkpoint blob (embeds every
 /// shard's scheduler, session and ward sections).
-inline constexpr std::uint32_t kHospitalCheckpointVersion = 2;
+inline constexpr std::uint32_t kHospitalCheckpointVersion = 3;
 
 class HospitalScheduler {
  public:

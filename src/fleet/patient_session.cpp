@@ -140,10 +140,7 @@ void PatientSession::admit() {
     (void)core::ScanController{}.scan(pipeline, field_);
   }
 
-  // Cuff-anchored calibration (§3.2), but on the block-mode acquisition
-  // path: admission must stay cheap enough to run 64 of them — the scalar
-  // path BloodPressureMonitor::calibrate uses re-evaluates the contact
-  // field every 128 kHz clock, ~OSR× more field work for the same window.
+  // Cuff-anchored calibration (§3.2); the cuff draws from its own session stream.
   bio::CuffConfig cuff_config;
   cuff_config.seed = derive_seeds(config_.seed).cuff;
   bio::OscillometricCuff cuff{cuff_config};

@@ -80,6 +80,57 @@ TEST(ArtifactInjector, SpikesDecay) {
   EXPECT_DOUBLE_EQ(inj2.next(0.001), 0.0);
 }
 
+// --- Rate sweep: the monitor draws artefacts once per 1 kHz output frame,
+// not once per 128 kHz modulator clock. The injector is dt-aware, so its
+// statistics must agree at every step. Each rate consumes its Rng stream
+// differently, so the runs are independent realisations; the tolerances are
+// at least three standard errors of each estimate.
+
+constexpr double kSweepRates[] = {128000.0, 1000.0, 250.0};
+
+TEST(ArtifactRateSweep, WanderDiffusesAtTheConfiguredRate) {
+  // Quadratic variation on a 0.1 s grid over 100 s estimates σ² from 1000
+  // increments: standard error √(2/1000) ≈ 4.5 %.
+  constexpr double kDurationS = 100.0;
+  for (const double rate : kSweepRates) {
+    ArtifactConfig c = quiet();
+    c.wander_mmhg_per_sqrt_s = 1.0;
+    ArtifactInjector inj{c};
+    const auto n = static_cast<std::size_t>(kDurationS * rate);
+    const auto grid = static_cast<std::size_t>(0.1 * rate);
+    double previous = 0.0;
+    double squares = 0.0;
+    for (std::size_t i = 1; i <= n; ++i) {
+      const double v = inj.next(1.0 / rate);
+      if (i % grid == 0) {
+        squares += (v - previous) * (v - previous);
+        previous = v;
+      }
+    }
+    EXPECT_NEAR(squares / kDurationS, 1.0, 0.2) << rate << " Hz";
+  }
+}
+
+TEST(ArtifactRateSweep, SpikesArriveAndDecayAlikeAtEveryStep) {
+  // 2 spikes/s for 100 s: ~200 arrivals (standard error 7 %). Random-sign
+  // shot noise has mean square λ·E[A²]·τ/2 = 2 · 2·15² · 0.15/2 = 67.5 mmHg²;
+  // the heavy A² tail gives its 200-spike estimate a ~16 % standard error.
+  constexpr double kDurationS = 100.0;
+  for (const double rate : kSweepRates) {
+    ArtifactConfig c = quiet();
+    c.spike_rate_hz = 2.0;
+    ArtifactInjector inj{c};
+    const auto n = static_cast<std::size_t>(kDurationS * rate);
+    double squares = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double level = inj.next(1.0 / rate);
+      squares += level * level;
+    }
+    EXPECT_NEAR(static_cast<double>(inj.spike_count()), 200.0, 60.0) << rate << " Hz";
+    EXPECT_NEAR(squares / static_cast<double>(n), 67.5, 0.5 * 67.5) << rate << " Hz";
+  }
+}
+
 TEST(ArtifactInjector, ApplyAddsToSamples) {
   ArtifactConfig c = quiet();
   c.contact_noise_mmhg = 0.1;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 namespace tono::core {
 namespace {
@@ -28,6 +29,32 @@ TEST(Monitor, FullSessionProducesCalibratedWaveform) {
     EXPECT_GT(p, 40.0);
     EXPECT_LT(p, 180.0);
   }
+}
+
+TEST(Monitor, ScalarAcquireEqualsBlockAcquireOnTheMonitorField) {
+  // The contact field holds physiology, artefacts, scenario and die
+  // temperature for a whole output frame, so evaluating it every clock
+  // (acquire) or once per frame (acquire_block) gives identical codes.
+  WristModel wrist;
+  wrist.enable_artifacts = true;
+  wrist.enable_thermal_drift = true;
+  wrist.thermal_tau_s = 2.0;
+  wrist.scenario =
+      std::make_shared<bio::ScenarioProfile>(bio::ScenarioProfile::exercise(4.0));
+  BloodPressureMonitor scalar{ChipConfig::paper_chip(), wrist};
+  BloodPressureMonitor block{ChipConfig::paper_chip(), wrist};
+  (void)scalar.localize(quick_scan());
+  (void)block.localize(quick_scan());
+  const auto a = scalar.pipeline().acquire(scalar.contact_field(), 3000);
+  const auto b = block.pipeline().acquire_block(block.contact_field(), 3000);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].code, b[i].code) << "sample " << i;
+    ASSERT_EQ(a[i].value, b[i].value) << "sample " << i;
+  }
+  EXPECT_EQ(scalar.pipeline().clocks(), block.pipeline().clocks());
+  EXPECT_EQ(scalar.pipeline().temperature_k(), block.pipeline().temperature_k());
+  EXPECT_EQ(scalar.pulse().beats_completed(), block.pulse().beats_completed());
 }
 
 TEST(Monitor, EstimatesTrackGroundTruth) {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 #include <numbers>
 
+#include "src/common/checkpoint.hpp"
 #include "src/common/statistics.hpp"
 #include "src/common/units.hpp"
 
@@ -28,6 +31,54 @@ TEST(Pipeline, TimeAdvancesWithClock) {
   AcquisitionPipeline pipe{ChipConfig::paper_chip()};
   (void)pipe.acquire_uniform([](double) { return 0.0; }, 10);
   EXPECT_NEAR(pipe.time_s(), 10.0 * 128.0 / 128000.0, 1e-9);
+}
+
+TEST(PipelineClock, TimeIsClockCountOverClockRate) {
+  // Time is derived from an integer clock count, never accumulated: block
+  // frames, scalar clocks and the parallel array all report count / f_clk.
+  AcquisitionPipeline pipe{ChipConfig::paper_chip()};
+  ArrayAcquisition array{ChipConfig::paper_chip()};
+  const std::size_t osr = pipe.config().decimation.total_decimation;
+  const double p = units::mmhg_to_pa(20.0);
+  for (int frame = 0; frame < 5; ++frame) (void)pipe.clock_block(p);
+  for (int i = 0; i < 37; ++i) (void)pipe.clock(p);
+  EXPECT_EQ(pipe.clocks(), 5 * osr + 37);
+  EXPECT_EQ(pipe.time_s(), static_cast<double>(5 * osr + 37) / pipe.clock_rate_hz());
+  (void)array.acquire_block([p](double, double, double) { return p; }, 3);
+  EXPECT_EQ(array.clocks(), 3 * osr);
+  EXPECT_EQ(array.time_s(), static_cast<double>(3 * osr) / array.clock_rate_hz());
+}
+
+TEST(PipelineClock, DayLongClockCountRestoresToExactTime) {
+  // 24 h of 128 kHz clocks. The old `t += 1/f_clk` accumulation was 11 ms
+  // off by now; the count gives the exact time before and after a frame.
+  AcquisitionPipeline pipe{ChipConfig::paper_chip()};
+  const double p = units::mmhg_to_pa(20.0);
+  (void)pipe.clock_block(p);
+  CheckpointWriter out;
+  pipe.serialize(out);
+  const auto blob = out.finish(1);
+  // The pipeline section ends with the clock count, the last switch's
+  // clock, the last capacitance and the die temperature, 8 bytes each.
+  std::vector<std::uint8_t> payload(blob.end() - static_cast<std::ptrdiff_t>(out.bytes_written()),
+                                    blob.end());
+  const std::uint64_t day = 86400ull * 128000ull;
+  for (std::size_t b = 0; b < 8; ++b) {
+    payload[payload.size() - 32 + b] = static_cast<std::uint8_t>(day >> (8 * b));
+  }
+  CheckpointWriter patched;
+  for (const std::uint8_t byte : payload) patched.u8(byte);
+  CheckpointReader in{patched.finish(1)};
+  AcquisitionPipeline restored{ChipConfig::paper_chip()};
+  restored.restore(in);
+  in.expect_end();
+  EXPECT_EQ(restored.clocks(), day);
+  EXPECT_EQ(restored.time_s(), 86400.0);
+  (void)restored.clock_block(p);
+  const std::uint64_t later = day + restored.config().decimation.total_decimation;
+  EXPECT_EQ(restored.clocks(), later);
+  EXPECT_EQ(restored.time_s(), static_cast<double>(later) / restored.clock_rate_hz());
+  EXPECT_EQ(restored.time_s(), 86400.001);
 }
 
 TEST(Pipeline, ConstantPressureGivesStableOutput) {
@@ -158,7 +209,8 @@ TEST(PipelineBlock, ClockBlockMatchesScalarBitIdentical) {
     ASSERT_EQ(got.code, want->code) << "frame " << frame;
     ASSERT_EQ(got.value, want->value) << "frame " << frame;
   }
-  EXPECT_EQ(block.time_s(), scalar.time_s());  // exact: same addition sequence
+  EXPECT_EQ(block.clocks(), scalar.clocks());
+  EXPECT_EQ(block.time_s(), scalar.time_s());
 }
 
 TEST(PipelineBlock, MatchesScalarAcrossMuxTransient) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "src/common/units.hpp"
@@ -109,6 +110,31 @@ TEST(SensorArray, LargerArraySupported) {
   EXPECT_EQ(arr.size(), 32u);
   // Outermost columns symmetric about the center.
   EXPECT_NEAR(arr.element(0, 0).position().x_m, -arr.element(0, 7).position().x_m, 1e-12);
+}
+
+TEST(SensorArray, SharedLutKnotsEqualExactCapacitanceBitForBit) {
+  // The quadrature behind the LUT runs once per membrane physics; each
+  // element scales the shared table by its own mismatch. At every knot the
+  // spline returns its knot value, which must be the exact transducer
+  // capacitance bit for bit, whatever the mismatch draw.
+  constexpr double kLo = -30e3;
+  constexpr double kHi = 60e3;
+  constexpr std::size_t kKnots = 241;
+  for (const std::uint64_t seed : {1ull, 2ull, 77ull}) {
+    auto cfg = ChipConfig::paper_chip();
+    cfg.seed = seed;
+    // Two membrane loads, so a table cached for one must not serve the other.
+    cfg.transducer.backpressure_pa = seed == 2 ? 0.0 : units::mmhg_to_pa(80.0);
+    const SensorArray arr{cfg, kLo, kHi};
+    for (std::size_t k = 0; k < arr.size(); ++k) {
+      const auto& e = arr.element(k);
+      for (std::size_t i = 0; i < kKnots; ++i) {
+        const double p = kLo + (kHi - kLo) * static_cast<double>(i) / (kKnots - 1);
+        ASSERT_EQ(e.capacitance(p), e.transducer().capacitance(p))
+            << "seed " << seed << " element " << k << " knot " << i;
+      }
+    }
+  }
 }
 
 TEST(SensorArray, RejectsBadConfig) {
