@@ -8,15 +8,18 @@
 // into the hot path, not "benign" noise. The transcript covers the three
 // determinism-critical paths: the scalar pipeline, block mode (noise-plan
 // path), and the lockstep ModulatorBank — including a heterogeneous bank
-// whose lanes run the step kernel at mixed widths.
+// whose lanes run the step kernel at mixed widths, and a serial fleet shard
+// that steps its sessions' modulators as lanes of one bank.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <numbers>
 #include <vector>
 
+#include "examples/session_mix.hpp"
 #include "src/analog/modulator_bank.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/fleet/fleet_scheduler.hpp"
 
 namespace {
 
@@ -27,6 +30,19 @@ std::uint64_t fnv1a_bits(const std::vector<int>& bits) {
   for (const int b : bits) {
     h ^= static_cast<std::uint64_t>(static_cast<std::uint8_t>(b > 0 ? 1 : 0));
     h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// FNV-1a over 12-bit converter codes, two bytes each.
+std::uint64_t fnv1a_codes(const std::vector<std::int16_t>& codes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::int16_t c : codes) {
+    const auto u = static_cast<unsigned>(static_cast<std::uint16_t>(c));
+    for (const unsigned byte : {u & 0xFFu, u >> 8u}) {
+      h ^= byte;
+      h *= 1099511628211ull;
+    }
   }
   return h;
 }
@@ -120,6 +136,30 @@ int main() {
       std::printf("lane%zu %016llx clips %zu\n", k,
                   static_cast<unsigned long long>(fnv1a_bits(lanes[k])),
                   bank.lane(k).clip_count());
+    }
+  }
+
+  // 6) Serial fleet shard: nine session_mix sessions on one FleetScheduler
+  //    (one cohort, so every frame steps their modulators as lanes of one
+  //    bank: two 4-wide packets plus a 1-wide lane under AVX2), admitted
+  //    and run for 256 frames. One hash line per session's codes.
+  {
+    fleet::WardConfig ward_config;
+    ward_config.record_codes = true;
+    fleet::WardAggregator ward{ward_config};
+    fleet::FleetConfig fleet_config;
+    fleet_config.threads = 1;
+    fleet::FleetScheduler shard{fleet_config, ward};
+    constexpr std::uint32_t kSessions = 9;
+    for (std::uint32_t i = 0; i < kSessions; ++i) {
+      (void)shard.admit(examples::session_mix(i));
+    }
+    for (int batch = 0; batch < 4; ++batch) (void)shard.step_all();
+    std::printf("serial_shard\n");
+    for (std::uint32_t id = 0; id < kSessions; ++id) {
+      const auto& codes = ward.recorded_codes(id);
+      std::printf("session%u %zu %016llx\n", id, codes.size(),
+                  static_cast<unsigned long long>(fnv1a_codes(codes)));
     }
   }
   return 0;

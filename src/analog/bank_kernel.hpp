@@ -33,10 +33,11 @@
 //     decision.
 // Both are rare at the paper's operating point; their cost amortizes away.
 //
-// Loop order is clock-outer / packet-inner: each packet's per-clock
-// dependency chain is long (two divisions plus the comparator decide feed
-// the next clock), so interleaving packets lets independent chains overlap
-// in the core instead of serializing.
+// Loop order is clock-outer / packet-inner within groups of packets: each
+// packet's per-clock dependency chain is long (two divisions plus the
+// comparator decide feed the next clock), so interleaving packets lets
+// independent chains overlap in the core instead of serializing. A packet's
+// fields live in locals for the whole call (Regs), not behind view pointers.
 #pragma once
 
 #include <cstddef>
@@ -152,27 +153,54 @@ struct SharedFuseJob {
 /// is bit-identical to build_shared_plan_ at stride 4.
 void fuse_shared4_avx2(const SharedFuseJob& job, std::size_t n_clocks);
 
+/// One packet's state, invariants, noise-plan pointers and output cursors,
+/// held in locals for one run_packets call (a frame): the clock loop reaches
+/// none of them through a PacketView pointer, and the compiler may keep a
+/// lone packet's copy in registers. Only the state is written back.
+template <class V>
+struct Regs {
+  typename V::D state[kNumState];
+  typename V::D in[kNumInvariant];
+  const double* noise[kNumSource];
+  int* bits[V::kW];
+  bool order2;
+  bool settling;
+
+  void load(const PacketView& p) noexcept {
+    for (std::size_t f = 0; f < kNumState; ++f) state[f] = V::load(p.state[f]);
+    for (std::size_t f = 0; f < kNumInvariant; ++f) in[f] = V::load(p.in[f]);
+    for (std::size_t s = 0; s < kNumSource; ++s) noise[s] = p.noise[s];
+    for (std::size_t w = 0; w < V::kW; ++w) bits[w] = p.bits[w];
+    order2 = p.order2;
+    settling = p.settling;
+  }
+  void store(const PacketView& p) const noexcept {
+    for (std::size_t f = 0; f < kNumState; ++f) V::store(p.state[f], state[f]);
+  }
+};
+
 /// One integrator stage (s = 0 first, 1 second) of a packet for clock
 /// offset `off`: adds the stage's op-amp and flicker plan noise to `delta`,
 /// settles it, integrates with leak, clips to the output swing, counts clips
 /// into `clips`, tracks the peak and stores the new state, which it returns.
 template <class V>
-inline typename V::D integrate(const PacketView& p, std::size_t s,
+[[gnu::always_inline]] inline typename V::D integrate(
+    const PacketView& p, Regs<V>& r, std::size_t s,
                                std::size_t off, typename V::D delta,
                                typename V::D scale, typename V::D& clips) {
   using D = typename V::D;
-  if (const double* op = p.noise[s == 0 ? kOp1 : kOp2]) {
+  if (const double* op = r.noise[s == 0 ? kOp1 : kOp2]) {
     delta = V::add(delta, V::load(op + off));
   }
-  if (const double* fl = p.noise[s == 0 ? kFl1 : kFl2]) {
+  if (const double* fl = r.noise[s == 0 ? kFl1 : kFl2]) {
     delta = V::add(delta, V::load(fl + off));
   }
-  if (p.settling) {
+  if (r.settling) {
     // settle(v) returns v bit-for-bit at or below the full-settle threshold
     // (OpAmp::full_settle_threshold), and settle(±0) returns +0.0.
     const D v = V::mul(delta, scale);
     D numer = V::select(V::cmp_eq(v, V::zero()), V::zero(), v);
-    const typename V::M slow = V::cmp_nle(V::abs(v), V::load(p.in[kSettle1 + s]));
+    const typename V::M slow = V::cmp_nle(V::abs(v), r.in[kSettle1 + s]);
     if (V::any(slow)) {
       double va[V::kW];
       double na[V::kW];
@@ -188,90 +216,109 @@ inline typename V::D integrate(const PacketView& p, std::size_t s,
     }
     delta = V::div(numer, scale);
   }
-  const D x_new =
-      V::add(V::mul(V::load(p.in[kLeak1 + s]), V::load(p.state[kX1 + s])), delta);
+  const D x_new = V::add(V::mul(r.in[kLeak1 + s], r.state[kX1 + s]), delta);
   const D v_x = V::mul(x_new, scale);
-  const D sw = V::load(p.in[kSwing1 + s]);
+  const D sw = r.in[kSwing1 + s];
   const D nsw = V::neg(sw);
   const D x = V::div(
       V::select(V::cmp_lt(v_x, nsw), nsw, V::select(V::cmp_lt(sw, v_x), sw, v_x)),
       scale);
   clips = V::add(clips, V::select(V::cmp_neq(x, x_new), V::one(), V::zero()));
   const D ax = V::abs(V::mul(x, scale));
-  const D mx = V::load(p.state[kMax1 + s]);
-  V::store(p.state[kMax1 + s], V::select(V::cmp_lt(mx, ax), ax, mx));
-  V::store(p.state[kX1 + s], x);
+  const D mx = r.state[kMax1 + s];
+  r.state[kMax1 + s] = V::select(V::cmp_lt(mx, ax), ax, mx);
+  r.state[kX1 + s] = x;
   return x;
+}
+
+/// Clock `i` of one packet, on its frame-local copy `r`.
+template <class V>
+[[gnu::always_inline]] inline void step_clock(const PacketView& p, Regs<V>& r,
+                                              std::size_t i) {
+  using D = typename V::D;
+  const std::size_t off = i * V::kW;
+  const D scale = r.in[kScale];
+  const D d = r.state[kD];
+  const D x1_prev = r.state[kX1];
+
+  // u_total = u + extra_noise_u + ref_err_u * d  (zeros when off, exactly
+  // as step_normalized computes with its zero-initialized locals).
+  const D ref = r.noise[kRef] ? V::load(r.noise[kRef] + off) : V::zero();
+  const D ktc = r.noise[kKtc] ? V::load(r.noise[kKtc] + off) : V::zero();
+  const D u_total = V::add(V::add(r.in[kU], ktc), V::mul(ref, d));
+  // delta1 = g1*u_total - a1*d*(1 + ref_err_u)
+  const D delta1 = V::sub(V::mul(r.in[kG1], u_total),
+                          V::mul(V::mul(r.in[kA1], d), V::add(V::one(), ref)));
+  D clips = r.state[kClips];
+  const D x1 = integrate<V>(p, r, 0, off, delta1, scale, clips);
+  D y;
+  if (r.order2) {
+    // delta2 = (g2 * g2_mismatch) * x1_prev - a2 * d
+    const D delta2 = V::sub(V::mul(r.in[kP2], x1_prev), V::mul(r.in[kA2], d));
+    y = V::mul(integrate<V>(p, r, 1, off, delta2, scale, clips), scale);
+  } else {
+    y = V::mul(x1, scale);
+  }
+  r.state[kClips] = clips;
+
+  // Comparator::decide with planned noise: v = y - offset [+ noise];
+  // v -= halfhyst * (-last); |v| < band → metastable slow path.
+  D cv = V::sub(y, r.in[kCompOffset]);
+  if (r.noise[kComp]) cv = V::add(cv, V::load(r.noise[kComp] + off));
+  cv = V::sub(cv, V::mul(r.in[kCompHalfHyst], V::neg(r.state[kLast])));
+  D newlast = V::select(V::cmp_ge(cv, V::zero()), V::one(), V::neg(V::one()));
+  const typename V::M meta = V::cmp_lt(V::abs(cv), r.in[kCompBand]);
+  if (V::any(meta)) {
+    // The escape rewrites the comparator plan tail in place; the next clock
+    // reloads it through r.noise.
+    double la[V::kW];
+    V::store(la, newlast);
+    unsigned m = V::mask(meta);
+    do {
+      const unsigned w = V::ctz(m);
+      m &= m - 1;
+      la[w] = p.metastable_fn(p.ctx, w, i);
+    } while (m != 0);
+    newlast = V::load(la);
+  }
+  r.state[kLast] = newlast;
+  r.state[kD] = newlast;
+  r.state[kTime] = V::add(r.state[kTime], r.in[kClockPeriod]);
+  double lb[V::kW];
+  V::store(lb, newlast);
+  for (std::size_t w = 0; w < V::kW; ++w) r.bits[w][i] = static_cast<int>(lb[w]);
 }
 
 /// The kernel template each policy TU instantiates with its vector-ops
 /// policy V (width V::kW, vector type V::D, mask type V::M plus the
 /// elementwise ops used here). Defined in the header so each ISA TU compiles
 /// its own copy with its own target flags; nothing here is ISA-specific.
+///
+/// Each packet's fields are loaded into a Regs once per call and stored back
+/// at the end. A lone packet (a solo modulator) runs its clocks straight
+/// through; otherwise packets go in groups of kGroup, clock-outer /
+/// packet-inner within a group. Packets never share state, so the grouping
+/// changes scheduling only.
 template <class V>
 inline void run_packets(PacketView* packets, std::size_t n_packets,
                         std::size_t n_clocks) {
-  using D = typename V::D;
-  for (std::size_t i = 0; i < n_clocks; ++i) {
-    for (std::size_t pi = 0; pi < n_packets; ++pi) {
-      PacketView& p = packets[pi];
-      const std::size_t off = i * V::kW;
-      const D scale = V::load(p.in[kScale]);
-      const D d = V::load(p.state[kD]);
-      const D x1_prev = V::load(p.state[kX1]);
-
-      // u_total = u + extra_noise_u + ref_err_u * d  (zeros when off, exactly
-      // as step_normalized computes with its zero-initialized locals).
-      const D ref = p.noise[kRef] ? V::load(p.noise[kRef] + off) : V::zero();
-      const D ktc = p.noise[kKtc] ? V::load(p.noise[kKtc] + off) : V::zero();
-      const D u_total = V::add(V::add(V::load(p.in[kU]), ktc), V::mul(ref, d));
-      // delta1 = g1*u_total - a1*d*(1 + ref_err_u)
-      const D delta1 = V::sub(
-          V::mul(V::load(p.in[kG1]), u_total),
-          V::mul(V::mul(V::load(p.in[kA1]), d), V::add(V::one(), ref)));
-      D clips = V::load(p.state[kClips]);
-      const D x1 = integrate<V>(p, 0, off, delta1, scale, clips);
-      D y;
-      if (p.order2) {
-        // delta2 = (g2 * g2_mismatch) * x1_prev - a2 * d
-        const D delta2 = V::sub(V::mul(V::load(p.in[kP2]), x1_prev),
-                                V::mul(V::load(p.in[kA2]), d));
-        y = V::mul(integrate<V>(p, 1, off, delta2, scale, clips), scale);
-      } else {
-        y = V::mul(x1, scale);
-      }
-      V::store(p.state[kClips], clips);
-
-      // Comparator::decide with planned noise: v = y - offset [+ noise];
-      // v -= halfhyst * (-last); |v| < band → metastable slow path.
-      D cv = V::sub(y, V::load(p.in[kCompOffset]));
-      if (p.noise[kComp]) cv = V::add(cv, V::load(p.noise[kComp] + off));
-      cv = V::sub(cv, V::mul(V::load(p.in[kCompHalfHyst]),
-                             V::neg(V::load(p.state[kLast]))));
-      D newlast =
-          V::select(V::cmp_ge(cv, V::zero()), V::one(), V::neg(V::one()));
-      const typename V::M meta = V::cmp_lt(V::abs(cv), V::load(p.in[kCompBand]));
-      if (V::any(meta)) {
-        double la[V::kW];
-        V::store(la, newlast);
-        unsigned m = V::mask(meta);
-        do {
-          const unsigned w = V::ctz(m);
-          m &= m - 1;
-          la[w] = p.metastable_fn(p.ctx, w, i);
-        } while (m != 0);
-        newlast = V::load(la);
-      }
-      V::store(p.state[kLast], newlast);
-      V::store(p.state[kD], newlast);
-      V::store(p.state[kTime],
-               V::add(V::load(p.state[kTime]), V::load(p.in[kClockPeriod])));
-      double lb[V::kW];
-      V::store(lb, newlast);
-      for (std::size_t w = 0; w < V::kW; ++w) {
-        p.bits[w][i] = static_cast<int>(lb[w]);
-      }
+  if (n_packets == 1) {
+    Regs<V> r;
+    r.load(packets[0]);
+    for (std::size_t i = 0; i < n_clocks; ++i) step_clock<V>(packets[0], r, i);
+    r.store(packets[0]);
+    return;
+  }
+  constexpr std::size_t kGroup = 8;
+  Regs<V> regs[kGroup];
+  for (std::size_t first = 0; first < n_packets; first += kGroup) {
+    PacketView* group = packets + first;
+    const std::size_t m = n_packets - first < kGroup ? n_packets - first : kGroup;
+    for (std::size_t j = 0; j < m; ++j) regs[j].load(group[j]);
+    for (std::size_t i = 0; i < n_clocks; ++i) {
+      for (std::size_t j = 0; j < m; ++j) step_clock<V>(group[j], regs[j], i);
     }
+    for (std::size_t j = 0; j < m; ++j) regs[j].store(group[j]);
   }
 }
 

@@ -294,6 +294,14 @@ bankkernel::PacketView DeltaSigmaModulator::kernel_view_() noexcept {
   return v;
 }
 
+std::uint32_t DeltaSigmaModulator::structure_key_() const noexcept {
+  std::uint32_t key = (config_.order == 2 ? 1u : 0u) | (config_.enable_settling ? 2u : 0u);
+  for (std::size_t s = 0; s < bankkernel::kNumSource; ++s) {
+    if (source_on_[s]) key |= 4u << s;
+  }
+  return key;
+}
+
 void DeltaSigmaModulator::load_kernel_(double u) noexcept {
   in_[bankkernel::kU] = u;
   kernel_.d = static_cast<double>(bit_);

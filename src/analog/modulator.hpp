@@ -226,6 +226,9 @@ class DeltaSigmaModulator {
   /// block, moving the output bit, comparator memory and clip count to and
   /// from the doubles the kernel keeps (kernel_).
   [[nodiscard]] bankkernel::PacketView kernel_view_() noexcept;
+  /// The kernel branches this modulator takes (loop order, settling, which
+  /// noise sources exist), one bit each: bank lanes share a packet iff equal.
+  [[nodiscard]] std::uint32_t structure_key_() const noexcept;
   void load_kernel_(double u) noexcept;
   void store_kernel_() noexcept;
   // The kernel's masked scalar escapes for this modulator (`ctx` is *this).

@@ -21,29 +21,24 @@ std::vector<ModulatorConfig> derived_configs(const ModulatorConfig& base,
   return configs;
 }
 
-/// Control-structure key: lanes group into a packet iff equal. One bit per
-/// kernel branch (bank_kernel.hpp), read off a lane's own 1-lane view, so
-/// lanes sharing a key take identical per-packet branches and only their
-/// *values* differ.
-std::uint32_t structure_key(const bankkernel::PacketView& v) noexcept {
-  std::uint32_t key = (v.order2 ? 1u : 0u) | (v.settling ? 2u : 0u);
-  for (std::size_t s = 0; s < bankkernel::kNumSource; ++s) {
-    if (v.noise[s] != nullptr) key |= 4u << s;
-  }
-  return key;
-}
-
 }  // namespace
 
 ModulatorBank::ModulatorBank(const std::vector<ModulatorConfig>& configs) {
   if (configs.empty()) {
     throw std::invalid_argument{"ModulatorBank: need at least one lane"};
   }
-  lanes_.reserve(configs.size());
-  for (const auto& config : configs) lanes_.emplace_back(config);
-  inputs_.resize(configs.size());
-  enabled_.assign(configs.size(), 1);
+  owned_.reserve(configs.size());
+  for (const auto& config : configs) owned_.emplace_back(config);
+  for (auto& lane : owned_) lanes_.push_back(&lane);
+  init_();
+}
 
+ModulatorBank::ModulatorBank(const ModulatorConfig& base, std::size_t lanes)
+    : ModulatorBank(derived_configs(base, lanes)) {}
+
+ModulatorBank::ModulatorBank() { init_(); }
+
+void ModulatorBank::init_() {
   // Resolve the kernel once; the bank's dispatch is fixed for its lifetime
   // (tests pin a level with simd::force_active_level before construction).
   level_ = simd::active_level();
@@ -56,26 +51,39 @@ ModulatorBank::ModulatorBank(const std::vector<ModulatorConfig>& configs) {
 #endif
   if (kernel_ == nullptr) level_ = simd::Level::kScalar;
   width_ = simd::level_width(level_);
-
-  shared_raw_.resize(lanes_.size() * 4 * kFrame);
-  flicker_raw_.resize(lanes_.size() * kFrame);
-  fill_rngs_.reserve(lanes_.size());
-  fill_dests_.reserve(lanes_.size());
-  fill_ns_.reserve(lanes_.size());
-  fill_lanes_.reserve(lanes_.size());
-  init_metrics_();
+  size_lanes_();
+  auto& reg = metrics::Registry::global();
+  packed_lane_frames_ = &reg.counter(metrics::names::kBankPackedLaneFrames);
+  narrow_lane_frames_ = &reg.counter(metrics::names::kBankNarrowLaneFrames);
+  step_block_timer_ = &reg.timer(metrics::names::kBankStepBlock);
 }
 
-ModulatorBank::ModulatorBank(const ModulatorConfig& base, std::size_t lanes)
-    : ModulatorBank(derived_configs(base, lanes)) {}
+void ModulatorBank::size_lanes_() {
+  const std::size_t n = lanes_.size();
+  lane_keys_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) lane_keys_[k] = lanes_[k]->structure_key_();
+  inputs_.resize(n);
+  enabled_.assign(n, 1);
+  shared_raw_.resize(n * 4 * kFrame);
+  flicker_raw_.resize(n * kFrame);
+  fill_rngs_.reserve(n);
+  fill_dests_.reserve(n);
+  fill_ns_.reserve(n);
+  fill_lanes_.reserve(n);
+  packets_dirty_ = true;
+}
 
-void ModulatorBank::init_metrics_() {
-  auto& reg = metrics::Registry::global();
-  bank_lanes_gauge_ = &reg.gauge(metrics::names::kModulatorBankLanes);
-  simd_width_gauge_ = &reg.gauge(metrics::names::kBankSimdWidth);
-  step_block_timer_ = &reg.timer(metrics::names::kBankStepBlock);
-  bank_lanes_gauge_->set(static_cast<double>(lanes_.size()));
-  simd_width_gauge_->set(static_cast<double>(width_));
+void ModulatorBank::set_lanes(std::span<DeltaSigmaModulator* const> lanes) {
+  if (!owned_.empty()) {
+    throw std::logic_error{"ModulatorBank::set_lanes: this bank owns its lanes"};
+  }
+  bool same = lanes.size() == lanes_.size();
+  for (std::size_t k = 0; same && k < lanes.size(); ++k) {
+    same = lanes[k] == lanes_[k] && lanes[k]->structure_key_() == lane_keys_[k];
+  }
+  if (same) return;
+  lanes_.assign(lanes.begin(), lanes.end());
+  size_lanes_();
 }
 
 void ModulatorBank::rebuild_packets_() {
@@ -88,7 +96,7 @@ void ModulatorBank::rebuild_packets_() {
   // Each lane's own 1-lane view carries its control structure and
   // invariants, and it is the view a lane outside every packet runs.
   lane_views_.clear();
-  for (auto& lane : lanes_) lane_views_.push_back(lane.kernel_view_());
+  for (DeltaSigmaModulator* lane : lanes_) lane_views_.push_back(lane->kernel_view_());
   if (width_ > 1) {
     // Group enabled lanes by control structure, preserving lane order within
     // each group, then cut each group into full-width packets. Group order
@@ -96,7 +104,7 @@ void ModulatorBank::rebuild_packets_() {
     std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> groups;
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
       if (!enabled_[k]) continue;
-      const std::uint32_t key = structure_key(lane_views_[k]);
+      const std::uint32_t key = lane_keys_[k];
       auto it = std::find_if(groups.begin(), groups.end(),
                              [key](const auto& g) { return g.first == key; });
       if (it == groups.end()) {
@@ -114,7 +122,6 @@ void ModulatorBank::rebuild_packets_() {
           p.lane[w] = lk;
           lane_packet_[lk] = packets_.size();
           lane_slot_[lk] = w;
-          for (std::size_t f = 0; f < kNumInvariant; ++f) p.in[f][w] = lanes_[lk].in_[f];
         }
         const PacketView& s = lane_views_[members[i]];
         p.fuse4 = level_ == simd::Level::kAvx2 && s.noise[kKtc] && s.noise[kRef] &&
@@ -146,7 +153,7 @@ void ModulatorBank::rebuild_packets_() {
 
 void ModulatorBank::load_packet_state_() {
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    if (enabled_[k]) lanes_[k].load_kernel_(inputs_[k].u);
+    if (enabled_[k]) lanes_[k]->load_kernel_(inputs_[k].u);
   }
   for (Packet& p : packets_) {
     for (std::size_t w = 0; w < width_; ++w) {
@@ -154,7 +161,9 @@ void ModulatorBank::load_packet_state_() {
       for (std::size_t f = 0; f < bankkernel::kNumState; ++f) {
         p.state[f][w] = *lane.state[f];
       }
-      p.in[bankkernel::kU][w] = inputs_[p.lane[w]].u;
+      for (std::size_t f = 0; f < bankkernel::kNumInvariant; ++f) {
+        p.in[f][w] = *lane.in[f];
+      }
     }
   }
 }
@@ -169,7 +178,7 @@ void ModulatorBank::store_packet_state_() {
     }
   }
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    if (enabled_[k]) lanes_[k].store_kernel_();
+    if (enabled_[k]) lanes_[k]->store_kernel_();
   }
 }
 
@@ -203,15 +212,15 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
 
   // Shared white stream: kT/C + reference + op-amp noise, interleaved.
   fill_batched_([&](std::size_t k) {
-    return Fill{&lanes_[k].rng_, shared_raw_.data() + k * 4 * kFrame,
-                frame * lanes_[k].shared_draws_per_clock_()};
+    return Fill{&lanes_[k]->rng_, shared_raw_.data() + k * 4 * kFrame,
+                frame * lanes_[k]->shared_draws_per_clock_()};
   });
   // De-interleave: packet lanes write their scaled values straight into the
   // transposed packet buffers (their plan_ stays unused), 1-lane views into
   // their own plan_.
   for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
     const std::size_t k = fill_lanes_[j];
-    DeltaSigmaModulator& lane = lanes_[k];
+    DeltaSigmaModulator& lane = *lanes_[k];
     if (lane_packet_[k] == kNoPacket) {
       lane.build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
                               lane.plan_.data(), kFrame, 1);
@@ -228,7 +237,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
     SharedFuseJob job;
     for (std::size_t w = 0; w < width_; ++w) {
       const std::size_t lk = p.lane[w];
-      const DeltaSigmaModulator& lane = lanes_[lk];
+      const DeltaSigmaModulator& lane = *lanes_[lk];
       job.raw[w] = shared_raw_.data() + lk * 4 * kFrame;
       job.sigma_u[w] = inputs_[lk].sigma_u;
       job.ref_vrms[w] = lane.config_.ref_noise_vrms;
@@ -249,13 +258,13 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   // replay happens per lane from the batch-drawn values.
   for (const Source src : {kFl1, kFl2}) {
     fill_batched_([&](std::size_t k) {
-      DeltaSigmaModulator& lane = lanes_[k];
+      DeltaSigmaModulator& lane = *lanes_[k];
       PinkNoise& flicker = src == kFl1 ? lane.flicker1_ : lane.flicker2_;
       return Fill{&flicker.noise_stream(), flicker_raw_.data() + k * kFrame,
                   lane.source_on_[src] ? frame : 0};
     });
     for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
-      DeltaSigmaModulator& lane = lanes_[fill_lanes_[j]];
+      DeltaSigmaModulator& lane = *lanes_[fill_lanes_[j]];
       double* plan = lane.plan_of_(src);
       (src == kFl1 ? lane.flicker1_ : lane.flicker2_)
           .fill_next_from(fill_dests_[j], plan, frame);
@@ -268,19 +277,19 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   // normals are batch-drawn straight into each lane's plan buffer, then
   // mapped with the same affine fill_gaussian(…, 0.0, σ) applies.
   fill_batched_([&](std::size_t k) {
-    double* plan = lanes_[k].plan_of_(kComp);
-    Rng* stream = lanes_[k].comparator_.plan(plan, frame);
+    double* plan = lanes_[k]->plan_of_(kComp);
+    Rng* stream = lanes_[k]->comparator_.plan(plan, frame);
     return Fill{stream, plan, stream != nullptr ? frame : 0};
   });
   for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
-    const double sigma = lanes_[fill_lanes_[j]].comparator_.config().noise_vrms;
+    const double sigma = lanes_[fill_lanes_[j]]->comparator_.config().noise_vrms;
     double* buf = fill_dests_[j];
     for (std::size_t i = 0; i < frame; ++i) buf[i] = 0.0 + sigma * buf[i];
   }
 
   std::size_t filled = 0;
   for (std::size_t k = 0; k < lanes_.size(); ++k) filled += enabled_[k];
-  lanes_[0].noise_plan_fills_metric_->add(filled);  // one plan per lane
+  lanes_[0]->noise_plan_fills_metric_->add(filled);  // one plan per lane
 
   // [clock] → [clock][lane] with stride = width_ for the packet plans that
   // materialize per lane: the flicker stages, whose Voss-McCartney replay is
@@ -293,7 +302,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
       if (views_[pi].noise[src] == nullptr) continue;
       double* t = p.noise.data() + src * kPlanStride;
       for (std::size_t w = 0; w < width_; ++w) {
-        const double* plan = lanes_[p.lane[w]].plan_of_(src);
+        const double* plan = lanes_[p.lane[w]]->plan_of_(src);
         for (std::size_t i = 0; i < frame; ++i) t[i * width_ + w] = plan[i];
       }
     }
@@ -303,14 +312,14 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
 double ModulatorBank::settle_cb_(void* ctx, std::size_t slot, int stage,
                                  double v) {
   Packet& p = *static_cast<Packet*>(ctx);
-  return DeltaSigmaModulator::settle_cb_(&p.owner->lanes_[p.lane[slot]], 0,
+  return DeltaSigmaModulator::settle_cb_(p.owner->lanes_[p.lane[slot]], 0,
                                          stage, v);
 }
 
 double ModulatorBank::metastable_cb_(void* ctx, std::size_t slot,
                                      std::size_t clock) {
   Packet& p = *static_cast<Packet*>(ctx);
-  DeltaSigmaModulator& lane = p.owner->lanes_[p.lane[slot]];
+  DeltaSigmaModulator& lane = *p.owner->lanes_[p.lane[slot]];
   const double decision = DeltaSigmaModulator::metastable_cb_(&lane, 0, clock);
   if (lane.source_on_[bankkernel::kComp]) {
     // The resync regenerated the lane's linear plan tail (clock+1 …); the
@@ -329,11 +338,11 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f,
                                           const double* c_ref_f, int* bits_out,
                                           std::size_t n) {
   metrics::TraceSpan span(*step_block_timer_);
-  if (n == 0) return;
+  if (n == 0 || lanes_.empty()) return;
   if (packets_dirty_) rebuild_packets_();
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     if (enabled_[k]) {
-      inputs_[k] = lanes_[k].capacitive_input_(c_sense_f[k], c_ref_f[k]);
+      inputs_[k] = lanes_[k]->capacitive_input_(c_sense_f[k], c_ref_f[k]);
     }
   }
   load_packet_state_();
@@ -349,7 +358,7 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f,
       }
     }
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      if (narrow_(k)) lanes_[k].kernel_.bits = bits_out + k * n + done;
+      if (narrow_(k)) lanes_[k]->kernel_.bits = bits_out + k * n + done;
     }
     if (n_wide > 0) kernel_(views_.data(), n_wide, frame);
     if (views_.size() > n_wide) {
@@ -359,6 +368,9 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f,
     done += frame;
   }
   store_packet_state_();
+  const std::size_t frames = (n + kFrame - 1) / kFrame;
+  packed_lane_frames_->add(n_wide * width_ * frames);
+  narrow_lane_frames_->add((views_.size() - n_wide) * frames);
 }
 
 void ModulatorBank::step_capacitive_block(const double* c_sense_f, int* bits_out,
@@ -367,7 +379,7 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f, int* bits_out
   // branch is each lane's configured on-chip capacitor with its die mismatch.
   std::vector<double> c_ref(lanes_.size());
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    c_ref[k] = lanes_[k].config_.c_ref_f * lanes_[k].ref_mismatch_;
+    c_ref[k] = lanes_[k]->config_.c_ref_f * lanes_[k]->ref_mismatch_;
   }
   step_capacitive_block(c_sense_f, c_ref.data(), bits_out, n);
 }
@@ -390,14 +402,14 @@ std::size_t ModulatorBank::enabled_lanes() const noexcept {
 }
 
 void ModulatorBank::reset() {
-  for (auto& lane : lanes_) lane.reset();
+  for (DeltaSigmaModulator* lane : lanes_) lane->reset();
 }
 
 void ModulatorBank::serialize(CheckpointWriter& out) const {
   out.section("modulator_bank");
   out.size(lanes_.size());
   for (const std::uint8_t e : enabled_) out.u8(e);
-  for (const auto& lane : lanes_) lane.serialize(out);
+  for (const DeltaSigmaModulator* lane : lanes_) lane->serialize(out);
 }
 
 void ModulatorBank::restore(CheckpointReader& in) {
@@ -415,7 +427,7 @@ void ModulatorBank::restore(CheckpointReader& in) {
     }
     e = v;
   }
-  for (auto& lane : lanes_) lane.restore(in);
+  for (DeltaSigmaModulator* lane : lanes_) lane->restore(in);
   packets_dirty_ = true;
 }
 

@@ -32,11 +32,18 @@
 //   * a disabled lane (set_lane_enabled — element fault masking) is frozen:
 //     not stepped, no noise drawn, its bits region untouched. Re-enabling
 //     resumes bit-identically from the frozen state.
+//
+// A bank either owns its lanes (the config constructors: ArrayAcquisition,
+// sweeps) or borrows them (the default constructor plus set_lanes: a fleet
+// shard steps its sessions' own modulators as lanes, frame by frame). The
+// lane objects hold every bit of state between blocks, so a borrowing bank
+// keeps nothing a checkpoint would need.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/analog/bank_kernel.hpp"
@@ -56,6 +63,17 @@ class ModulatorBank {
   /// by the same golden-ratio salting Rng::fork uses. Lane 0 keeps
   /// `base.seed` unchanged, so lane 0 reproduces the single-modulator run.
   ModulatorBank(const ModulatorConfig& base, std::size_t lanes);
+
+  /// A borrowing bank with no lanes yet; set_lanes points it at modulators
+  /// that live elsewhere.
+  ModulatorBank();
+
+  /// Borrowing banks only: steps `lanes` from the next block on, every lane
+  /// enabled. The modulators must outlive the blocks stepped with them. The
+  /// packets are rebuilt only when the list differs from the previous one —
+  /// another modulator at some position, or a lane whose control structure
+  /// changed — so re-pointing a stable cohort every frame costs a compare.
+  void set_lanes(std::span<DeltaSigmaModulator* const> lanes);
 
   // The kernel views point into this bank's own packets and lanes.
   ModulatorBank(const ModulatorBank&) = delete;
@@ -94,9 +112,9 @@ class ModulatorBank {
   void restore(CheckpointReader& in);
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
-  [[nodiscard]] DeltaSigmaModulator& lane(std::size_t k) { return lanes_[k]; }
+  [[nodiscard]] DeltaSigmaModulator& lane(std::size_t k) { return *lanes_[k]; }
   [[nodiscard]] const DeltaSigmaModulator& lane(std::size_t k) const {
-    return lanes_[k];
+    return *lanes_[k];
   }
 
   /// The SIMD dispatch this bank resolved at construction (fixed for its
@@ -118,10 +136,10 @@ class ModulatorBank {
     std::array<std::size_t, kMaxW> lane{};  ///< bank lane index per slot
 
     // Per-lane state and invariants, one width-sized array per kernel field
-    // (bankkernel::State / Invariant). State is loaded from the lane objects
-    // at block start and written back at block end (the lane objects stay
-    // authoritative between blocks, so checkpointing never sees this
-    // scratch); invariants are construction-time except u, set per block.
+    // (bankkernel::State / Invariant). State and invariants are loaded from
+    // the lane objects at block start and the state is written back at block
+    // end (the lane objects stay authoritative between blocks, so
+    // checkpointing never sees this scratch, and no invariant goes stale).
     alignas(64) std::array<std::array<double, kMaxW>, bankkernel::kNumState> state{};
     std::array<std::array<double, kMaxW>, bankkernel::kNumInvariant> in{};
 
@@ -139,14 +157,16 @@ class ModulatorBank {
     ModulatorBank* owner{nullptr};
   };
 
-  void init_metrics_();
+  void init_();
+  /// Sizes the per-lane scratch for lanes_ and enables every lane.
+  void size_lanes_();
   /// Regroups enabled lanes into packets of width_ plus 1-lane views.
   void rebuild_packets_();
   /// Enabled lanes outside every W-wide packet (the 1-lane views).
   [[nodiscard]] bool narrow_(std::size_t k) const noexcept {
     return enabled_[k] != 0 && lane_packet_[k] == kNoPacket;
   }
-  /// Loads lane state into the kernel views at block start.
+  /// Loads lane state and invariants into the kernel views at block start.
   void load_packet_state_();
   /// Writes kernel view state back into the lane objects at block end.
   void store_packet_state_();
@@ -174,7 +194,9 @@ class ModulatorBank {
   static double settle_cb_(void* ctx, std::size_t slot, int stage, double v);
   static double metastable_cb_(void* ctx, std::size_t slot, std::size_t clock);
 
-  std::vector<DeltaSigmaModulator> lanes_;
+  std::vector<DeltaSigmaModulator> owned_;  ///< empty for a borrowing bank
+  std::vector<DeltaSigmaModulator*> lanes_;  ///< into owned_, or borrowed
+  std::vector<std::uint32_t> lane_keys_;     ///< structure_key_ per lane
   std::vector<DeltaSigmaModulator::CapacitiveInput> inputs_;  ///< scratch
   std::vector<std::uint8_t> enabled_;
 
@@ -194,7 +216,7 @@ class ModulatorBank {
   std::vector<std::size_t> lane_packet_;  ///< packet index or kNoPacket
   std::vector<std::size_t> lane_slot_;    ///< slot within that packet
 
-  // Batched-fill scratch (sized at construction).
+  // Batched-fill scratch (sized with the lanes).
   std::vector<double> shared_raw_;            ///< lanes × 4·kFrame normals
   std::vector<double> flicker_raw_;           ///< lanes × kFrame normals
   std::vector<Rng*> fill_rngs_;
@@ -202,8 +224,8 @@ class ModulatorBank {
   std::vector<std::size_t> fill_ns_;
   std::vector<std::size_t> fill_lanes_;
 
-  metrics::Gauge* bank_lanes_gauge_{nullptr};
-  metrics::Gauge* simd_width_gauge_{nullptr};
+  metrics::Counter* packed_lane_frames_{nullptr};
+  metrics::Counter* narrow_lane_frames_{nullptr};
   metrics::Timer* step_block_timer_{nullptr};
 };
 

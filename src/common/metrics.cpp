@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/common/simd.hpp"
+
 namespace tono::metrics {
 namespace {
 
@@ -236,7 +238,8 @@ void register_standard_instruments(Registry& r) {
   using namespace names;
   for (const char* name :
        {kPipelineFrames, kPipelineFramesBlock, kPipelineFramesScalar,
-        kPipelineMuxFallbacks, kModulatorNoisePlanFills, kDecimationSamples,
+        kPipelineMuxFallbacks, kModulatorNoisePlanFills, kBankPackedLaneFrames,
+        kBankNarrowLaneFrames, kDecimationSamples,
         kDecimationFirSaturations, kSweepRuns, kSweepTrials, kPoolTasksSubmitted,
         kPoolTasksExecuted, kTelemetryFramesOk, kTelemetryCrcErrors,
         kTelemetryResyncs, kTelemetryLostFrames, kMonitorSessions, kMonitorBeats,
@@ -256,13 +259,15 @@ void register_standard_instruments(Registry& r) {
   }
   for (const char* name :
        {kModulatorPeakState1V, kModulatorPeakState2V, kModulatorClipCount,
-        kModulatorBankLanes, kSweepThreads, kPoolPeakQueueDepth, kPoolQueueDepth,
+        kSweepThreads, kPoolPeakQueueDepth, kPoolQueueDepth,
         kMonitorLastSqi, kMonitorAlarmLatencyS, kFleetSessionsActive,
         kWardAlarmsActive, kHospitalShards, kHospitalShardsActive,
         kHospitalCodesConsumed, kHospitalAlarmsActive, kGatewayChannels,
         kGatewayReplaySpeedup, kValidationLastSysBias, kValidationLastSysSd}) {
     (void)r.gauge(name);
   }
+  r.gauge(kProcessSimdWidth)
+      .set(static_cast<double>(simd::level_width(simd::active_level())));
   static constexpr double kStrandBounds[] = {1.0, 2.0, 4.0, 8.0, 16.0, 32.0,
                                              64.0, 128.0, 256.0, 1024.0};
   (void)r.histogram(kSweepTrialsPerStrand, kStrandBounds);

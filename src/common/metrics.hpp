@@ -193,11 +193,15 @@ inline constexpr const char* kModulatorPeakState2V = "modulator.peak_state2_v";
 inline constexpr const char* kModulatorClipCount = "modulator.clip_count";
 /// Noise-plan frames generated by the block path (one per 128-clock frame).
 inline constexpr const char* kModulatorNoisePlanFills = "modulator.noise_plan_fills";
-// ModulatorBank
-inline constexpr const char* kModulatorBankLanes = "modulator.bank_lanes";
+// ModulatorBank (block rate). Lane-frames stepped in W-wide SIMD packets vs
+// as 1-wide packets: their ratio is how well the banks pack.
 inline constexpr const char* kBankStepBlock = "bank.step_block";
-/// Kernel lane width the bank dispatched to (4 = AVX2, 2 = NEON, 1 = scalar).
-inline constexpr const char* kBankSimdWidth = "bank.simd_width";
+inline constexpr const char* kBankPackedLaneFrames = "bank.packed_lane_frames";
+inline constexpr const char* kBankNarrowLaneFrames = "bank.narrow_lane_frames";
+// Process info, set once by register_standard_instruments.
+/// Kernel lane width of the process's SIMD dispatch (4 = AVX2, 2 = NEON,
+/// 1 = scalar).
+inline constexpr const char* kProcessSimdWidth = "process.simd_width";
 // DecimationChain (output rate, 1 kHz)
 inline constexpr const char* kDecimationSamples = "decimation.samples";
 inline constexpr const char* kDecimationFirSaturations = "decimation.fir_saturations";
@@ -287,8 +291,9 @@ inline constexpr const char* kValidationLastSysSd = "validation.last_sys_sd_mmhg
 }  // namespace names
 
 /// Pre-registers the full canonical instrument set in `r` (all zero until
-/// first touched), so a snapshot covers every subsystem even when the run
-/// exercised only part of the signal chain. Idempotent.
+/// first touched, except the process-info gauges), so a snapshot covers
+/// every subsystem even when the run exercised only part of the signal
+/// chain. Idempotent.
 void register_standard_instruments(Registry& r = Registry::global());
 
 }  // namespace tono::metrics

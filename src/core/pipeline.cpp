@@ -63,28 +63,37 @@ std::optional<dsp::DecimatedSample> AcquisitionPipeline::clock(double contact_pr
 }
 
 dsp::DecimatedSample AcquisitionPipeline::clock_block(double contact_pressure_pa) {
+  if (const auto fallback = begin_frame(contact_pressure_pa)) return *fallback;
   const std::size_t n = config_.decimation.total_decimation;
+  modulator_.step_capacitive_block(last_capacitance_, array_.reference_capacitance(),
+                                   bit_scratch_.data(), n);
+  return end_frame({bit_scratch_.data(), n});
+}
+
+std::optional<dsp::DecimatedSample> AcquisitionPipeline::begin_frame(
+    double contact_pressure_pa) {
   if (!mux_.is_settled(since_switch_s_())) {
     // Mux transient still decaying (only right after select() / reset()):
     // the per-clock blend matters, so run the frame through the scalar path.
     // Any `n` consecutive clocks contain exactly one output instant.
     std::optional<dsp::DecimatedSample> out;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < config_.decimation.total_decimation; ++i) {
       if (auto s = clock(contact_pressure_pa)) out = s;
     }
     mux_fallbacks_metric_->add(1);  // the frame itself was counted by clock()
     return *out;
   }
   const auto& elem = array_.element(mux_.selected_row(), mux_.selected_col());
-  const double c_target = elem.capacitance(contact_pressure_pa, temperature_k_);
-  // Settled ⇒ observed_capacitance returns c_target bit-for-bit every clock,
-  // so the lookup hoists and the scalar path's last_capacitance_ tracking
-  // collapses to one store.
-  last_capacitance_ = c_target;
-  modulator_.step_capacitive_block(c_target, array_.reference_capacitance(),
-                                   bit_scratch_.data(), n);
-  clocks_ += n;
-  const auto sample = chain_.push_frame({bit_scratch_.data(), n});
+  // Settled ⇒ observed_capacitance returns the target bit-for-bit every
+  // clock, so the lookup hoists and the scalar path's last_capacitance_
+  // tracking collapses to one store.
+  last_capacitance_ = elem.capacitance(contact_pressure_pa, temperature_k_);
+  return std::nullopt;
+}
+
+dsp::DecimatedSample AcquisitionPipeline::end_frame(std::span<const int> bits) {
+  clocks_ += bits.size();
+  const auto sample = chain_.push_frame(bits);
   record_frame_(/*block_path=*/true);
   return sample;
 }

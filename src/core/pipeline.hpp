@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/analog/modulator.hpp"
@@ -48,8 +49,23 @@ class AcquisitionPipeline {
   /// the clock loop, the modulator runs its fused block step, and the
   /// decimation chain consumes the whole frame at once. The first frame after
   /// select() (mux transient still live) transparently falls back to the
-  /// scalar path.
+  /// scalar path. It is begin_frame, the modulator's own block step, then
+  /// end_frame.
   [[nodiscard]] dsp::DecimatedSample clock_block(double contact_pressure_pa);
+
+  /// clock_block in halves, so a caller can step many pipelines' modulators
+  /// as lanes of one ModulatorBank in between. begin_frame resolves the
+  /// frame's sensor capacitance (frame_capacitance()) and returns nullopt:
+  /// the caller then steps modulator() for total_decimation clocks at
+  /// (frame_capacitance(), array().reference_capacitance()) and hands the
+  /// bits to end_frame, which decimates them and returns the sample. While
+  /// the mux transient is live, begin_frame instead runs the whole frame
+  /// through the scalar fallback and returns its sample; there is nothing
+  /// to step and no end_frame.
+  [[nodiscard]] std::optional<dsp::DecimatedSample> begin_frame(double contact_pressure_pa);
+  [[nodiscard]] dsp::DecimatedSample end_frame(std::span<const int> bits);
+  /// The settled sensor capacitance begin_frame resolved [F].
+  [[nodiscard]] double frame_capacitance() const noexcept { return last_capacitance_; }
 
   /// Runs until `n_out` output samples are produced, evaluating the contact
   /// field at the selected element's position each clock.

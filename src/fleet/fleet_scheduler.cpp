@@ -21,6 +21,9 @@ FleetScheduler::FleetScheduler(FleetConfig config, WardAggregator& ward)
     throw std::invalid_argument{"FleetScheduler: session_id_stride must be > 0"};
   }
   if (config_.threads != 1) pool_ = std::make_unique<ThreadPool>(config_.threads);
+  for (std::size_t c = 0; c < thread_count(); ++c) {
+    cohorts_.push_back(std::make_unique<Cohort>());
+  }
   auto& reg = metrics::Registry::global();
   admitted_metric_ = &reg.counter(metrics::names::kFleetSessionsAdmitted);
   discharged_metric_ = &reg.counter(metrics::names::kFleetSessionsDischarged);
@@ -252,29 +255,22 @@ std::size_t FleetScheduler::step_all(double until_s) {
   std::vector<std::exception_ptr> errors(batch.size());
 
   if (pool_ == nullptr) {
-    // Serial reference execution. Rings hold a full batch (enforced at
-    // admit), so nothing blocks with the consumer waiting below.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      try {
-        batch[i]->session->step(frames);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
+    // Serial reference execution: one cohort on the caller thread. Rings
+    // hold a full batch (enforced at admit), so nothing blocks with the
+    // consumer waiting below.
+    step_cohort_(*cohorts_.front(), batch, errors, frames);
   } else {
-    // One task per session; the caller drains the ward while the workers
-    // produce, which is what un-blocks a full ring under the blocking
-    // policy.
-    std::atomic<std::size_t> remaining{batch.size()};
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      PatientSession* session = batch[i]->session.get();
-      std::exception_ptr* error = &errors[i];
-      pool_->submit([session, error, frames, &remaining] {
-        try {
-          session->step(frames);
-        } catch (...) {
-          *error = std::current_exception();
-        }
+    // One task per cohort, contiguous slices of the batch; the caller
+    // drains the ward while the workers produce, which is what un-blocks a
+    // full ring under the blocking policy.
+    const std::size_t n_cohorts = std::min(cohorts_.size(), batch.size());
+    std::atomic<std::size_t> remaining{n_cohorts};
+    for (std::size_t c = 0; c < n_cohorts; ++c) {
+      const std::size_t lo = batch.size() * c / n_cohorts;
+      const std::size_t hi = batch.size() * (c + 1) / n_cohorts;
+      pool_->submit([this, c, lo, hi, frames, &batch, &errors, &remaining] {
+        step_cohort_(*cohorts_[c], std::span{batch}.subspan(lo, hi - lo),
+                     std::span{errors}.subspan(lo, hi - lo), frames);
         remaining.fetch_sub(1, std::memory_order_release);
       });
     }
@@ -283,7 +279,7 @@ std::size_t FleetScheduler::step_all(double until_s) {
     }
   }
 
-  // Production barrier: every batch task has returned. The gateway pump
+  // Production barrier: every cohort has returned. The gateway pump
   // (set_batch_hook) delivers this batch's wire traffic into the session
   // rings here, before the ward's final drain and escalation below.
   if (batch_hook_) batch_hook_();
@@ -317,6 +313,65 @@ std::size_t FleetScheduler::step_all(double until_s) {
   // counts and would make notice→urgent timing depend on the thread count.
   ward_.settle();
   return stepped;
+}
+
+void FleetScheduler::step_cohort_(Cohort& c, std::span<Slot* const> batch,
+                                  std::span<std::exception_ptr> errors,
+                                  std::size_t frames) {
+  const auto guarded = [&](std::size_t i, auto&& phase) {
+    try {
+      phase(*batch[i]->session);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  c.live.clear();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    guarded(i, [&](PatientSession& s) {
+      if (s.begin_step(frames)) c.live.push_back(i);
+    });
+  }
+  for (std::size_t f = 0; f < frames && !c.live.empty(); ++f) {
+    c.lanes.clear();
+    c.lane_owner.clear();
+    c.c_sense.clear();
+    c.c_ref.clear();
+    std::size_t clocks = 0;
+    for (const std::size_t i : c.live) {
+      if (errors[i]) continue;
+      guarded(i, [&](PatientSession& s) {
+        const PatientSession::FrameLane lane = s.begin_frame();
+        if (lane.modulator == nullptr) return;  // the mux fallback ran it
+        if (c.lanes.empty()) clocks = lane.clocks;
+        if (lane.clocks != clocks) {
+          // A different frame length cannot share the bank's block: step
+          // this lane alone (lane == solo, so the bits are the same).
+          std::vector<int> bits(lane.clocks);
+          lane.modulator->step_capacitive_block(lane.c_sense_f, lane.c_ref_f,
+                                                bits.data(), bits.size());
+          s.end_frame(bits);
+          return;
+        }
+        c.lanes.push_back(lane.modulator);
+        c.lane_owner.push_back(i);
+        c.c_sense.push_back(lane.c_sense_f);
+        c.c_ref.push_back(lane.c_ref_f);
+      });
+    }
+    if (c.lanes.empty()) continue;
+    c.bits.resize(c.lanes.size() * clocks);
+    c.bank.set_lanes(c.lanes);
+    c.bank.step_capacitive_block(c.c_sense.data(), c.c_ref.data(), c.bits.data(),
+                                 clocks);
+    for (std::size_t k = 0; k < c.lanes.size(); ++k) {
+      guarded(c.lane_owner[k], [&](PatientSession& s) {
+        s.end_frame({c.bits.data() + k * clocks, clocks});
+      });
+    }
+  }
+  for (const std::size_t i : c.live) {
+    if (!errors[i]) guarded(i, [](PatientSession& s) { s.end_step(); });
+  }
 }
 
 bool FleetScheduler::recovery_pending(double until_s) const {

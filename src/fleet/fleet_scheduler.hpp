@@ -1,13 +1,16 @@
 // fleet_scheduler.hpp — deterministic batch stepping of many sessions.
 //
 // The serving loop of the fleet layer (docs/FLEET.md): sessions advance in
-// lockstep batches of `frames_per_step` output frames, fanned across the
-// shared ThreadPool — one task per session per batch, so a session is never
-// stepped by two threads at once. While workers produce, the caller thread
-// drains the ward aggregator, which is what lets tiny rings with blocking
-// backpressure make progress (and why the blocking policy cannot deadlock:
-// with threads == 1 there is no concurrent consumer, so ring capacities
-// must cover one whole batch — enforced at admission).
+// lockstep batches of `frames_per_step` output frames. A batch is cut into
+// contiguous cohorts, one per thread; a cohort steps its sessions frame by
+// frame, running all their ΔΣ modulators as lanes of one ModulatorBank
+// (lane == solo, so this changes scheduling only). A session belongs to one
+// cohort, so it is never stepped by two threads at once. While pool tasks
+// produce, the caller thread drains the ward aggregator, which is what lets
+// tiny rings with blocking backpressure make progress (and why the blocking
+// policy cannot deadlock: with threads == 1 the one cohort runs on the
+// caller with no concurrent consumer, so ring capacities must cover one
+// whole batch — enforced at admission).
 //
 // Determinism reuses the SweepRunner pattern: session i's seed derives from
 // (base_seed, stream_name, admission index) alone, every session owns all
@@ -32,9 +35,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/analog/modulator_bank.hpp"
 #include "src/common/metrics.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/fleet/patient_session.hpp"
@@ -88,7 +93,7 @@ class FleetScheduler {
   /// The id is session_id_offset + n·session_id_stride for the n-th
   /// admission; config.seed == 0 is replaced with session_seed(id).
   /// Admission work (localization + calibration) runs inside the session's
-  /// first batch task, so it parallelizes and quarantines like a step.
+  /// first batch step, so it parallelizes and quarantines like a step.
   /// Throws std::invalid_argument if the code ring cannot hold one batch
   /// (frames_per_step) — the serial-mode deadlock guard.
   std::uint32_t admit(SessionConfig config, std::string label = "");
@@ -175,6 +180,19 @@ class FleetScheduler {
     std::size_t fault_log_synced{0};  ///< session fault_log entries mirrored to ward
   };
 
+  /// One stepping task's bank and scratch, kept across batches: a cohort
+  /// whose sessions do not change re-points its bank without rebuilding
+  /// packets and allocates nothing.
+  struct Cohort {
+    analog::ModulatorBank bank;
+    std::vector<std::size_t> live;  ///< cohort indices acquiring this step
+    std::vector<analog::DeltaSigmaModulator*> lanes;
+    std::vector<std::size_t> lane_owner;  ///< cohort index of each lane
+    std::vector<double> c_sense;
+    std::vector<double> c_ref;
+    std::vector<int> bits;  ///< lane-major, lanes × clocks
+  };
+
   [[nodiscard]] Slot* find_(std::uint32_t id);
   [[nodiscard]] const Slot* find_(std::uint32_t id) const;
   void quarantine_(Slot& slot, const std::exception_ptr& error);
@@ -185,11 +203,19 @@ class FleetScheduler {
   /// rings at the replacement. On a rejected blob the old object resumes in
   /// place (counted, noted in the ward fault log).
   void readmit_from_checkpoint_(Slot& slot);
+  /// PatientSession::step(frames) for every session of `batch`, in phases:
+  /// every prologue, then frame by frame each session's begin_frame, one
+  /// bank step of all their modulators and each end_frame, then every
+  /// epilogue. A throw lands in that session's `errors` slot and drops it
+  /// from the rest of the step; the others go on.
+  void step_cohort_(Cohort& cohort, std::span<Slot* const> batch,
+                    std::span<std::exception_ptr> errors, std::size_t frames);
 
   FleetConfig config_;
   WardAggregator& ward_;
   std::function<void()> batch_hook_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when threads == 1
+  std::vector<std::unique_ptr<Cohort>> cohorts_;  ///< one per thread
   std::vector<Slot> sessions_;
   std::uint64_t batch_index_{0};
   std::uint64_t checkpoints_written_{0};

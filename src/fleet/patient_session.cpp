@@ -191,21 +191,58 @@ void PatientSession::make_stream_() {
 }
 
 void PatientSession::step(std::size_t frames) {
+  if (!begin_step(frames)) return;
+  auto& pipeline = inner_->pipeline();
+  for (std::size_t f = 0; f < frames; ++f) {
+    step_samples_.push_back(pipeline.clock_block(
+        effective_field_(step_pos_.x_m, step_pos_.y_m, pipeline.time_s())));
+  }
+  end_step();
+}
+
+bool PatientSession::begin_step(std::size_t frames) {
   if (!admitted_) admit();
   // External ingest (gateway replay): admission above is the whole step —
   // codes arrive via ingest_codes() and advance stream time there.
-  if (config_.external_ingest || frames == 0) return;
+  if (config_.external_ingest || frames == 0) return false;
   apply_due_faults_();
-  const auto samples = inner_->pipeline().acquire_block(effective_field_, frames);
+  // Faults may have re-routed the readout; the element is fixed from here.
+  const auto& pipeline = inner_->pipeline();
+  step_pos_ = pipeline.array()
+                  .element(pipeline.selected_row(), pipeline.selected_col())
+                  .position();
+  step_frames_ = frames;
+  step_samples_.clear();
+  step_samples_.reserve(frames);
+  return true;
+}
+
+PatientSession::FrameLane PatientSession::begin_frame() {
+  auto& pipeline = inner_->pipeline();
+  const double p = effective_field_(step_pos_.x_m, step_pos_.y_m, pipeline.time_s());
+  if (const auto fallback = pipeline.begin_frame(p)) {
+    step_samples_.push_back(*fallback);
+    return {};
+  }
+  return {&pipeline.modulator(), pipeline.frame_capacitance(),
+          pipeline.array().reference_capacitance(),
+          pipeline.config().decimation.total_decimation};
+}
+
+void PatientSession::end_frame(std::span<const int> bits) {
+  step_samples_.push_back(inner_->pipeline().end_frame(bits));
+}
+
+void PatientSession::end_step() {
   // The codes that survive the simulated USB hop: a link-burst plan
   // round-trips them through the link, corrupting frames inside its windows.
   step_codes_.clear();
   if (link_decoder_ == nullptr) {
-    for (const auto& s : samples) {
+    for (const auto& s : step_samples_) {
       step_codes_.push_back(static_cast<std::int16_t>(s.code));
     }
   } else {
-    link_roundtrip_(samples, step_codes_);
+    link_roundtrip_(step_samples_, step_codes_);
   }
   if (config_.code_sink) {
     // Gateway mode: the wire carries the codes, and the demux delivers them
@@ -214,7 +251,7 @@ void PatientSession::step(std::size_t frames) {
   } else {
     publish_(step_codes_);
   }
-  frames_produced_ += frames;
+  frames_produced_ += step_frames_;
 }
 
 void PatientSession::ingest_codes(std::span<const std::int16_t> codes) {

@@ -144,7 +144,7 @@ class PatientSession {
   PatientSession& operator=(const PatientSession&) = delete;
 
   /// Localizes (optional) and calibrates. Called once, before the first
-  /// step — by the scheduler inside the session's first batch task, so slow
+  /// step — by the scheduler inside the session's first batch step, so slow
   /// admissions parallelize and a throwing admission quarantines cleanly.
   void admit();
 
@@ -153,8 +153,37 @@ class PatientSession {
   /// the codes ring, converts to mmHg through the calibration and feeds the
   /// streaming monitor, whose beat/alarm/quality callbacks publish to the
   /// events ring. Must only run on one thread at a time (the scheduler
-  /// guarantees one task per session per batch).
+  /// steps each session in exactly one cohort per batch).
   void step(std::size_t frames);
+
+  /// step() in phases, for a scheduler that steps a cohort of sessions frame
+  /// by frame with their modulators as lanes of one ModulatorBank
+  /// (FleetScheduler, docs/FLEET.md). step(frames) is exactly
+  /// begin_step(frames); then `frames` times begin_frame() — stepping the
+  /// returned lane's modulator, if any, for total_decimation clocks — and
+  /// end_frame(bits); then end_step().
+  ///
+  /// Prologue: admits on first use and applies due faults (either may
+  /// throw). Returns false when the step acquires nothing (external ingest,
+  /// or frames == 0); the frame phase and end_step are then skipped.
+  [[nodiscard]] bool begin_step(std::size_t frames);
+  /// What a frame needs from the caller: `modulator` to step at the given
+  /// capacitances, or nullptr when the pipeline's mux-transient fallback
+  /// already produced the frame (no end_frame then).
+  struct FrameLane {
+    analog::DeltaSigmaModulator* modulator{nullptr};
+    double c_sense_f{0.0};
+    double c_ref_f{0.0};
+    std::size_t clocks{0};  ///< modulator clocks per frame (total_decimation)
+  };
+  /// Frame phase, first half: evaluates the contact field at the pipeline
+  /// clock and begins the pipeline frame.
+  [[nodiscard]] FrameLane begin_frame();
+  /// Frame phase, second half: decimates the lane's bits for this frame.
+  void end_frame(std::span<const int> bits);
+  /// Epilogue: the link round trip, then the code sink or the local publish
+  /// of the step's codes; advances stream time.
+  void end_step();
 
   /// Delivers codes that arrived over the gateway wire: pushes each to the
   /// codes ring (session code_policy) and feeds the streaming monitor via
@@ -276,7 +305,12 @@ class PatientSession {
   std::unique_ptr<core::FrameEncoder> link_encoder_;
   std::unique_ptr<core::FrameDecoder> link_decoder_;
   std::unique_ptr<core::LinkFaultInjector> link_injector_;
-  std::vector<std::int16_t> step_codes_;  ///< per-step scratch, never serialized
+  // Per-step scratch, never serialized (a step starts and ends between
+  // checkpoints).
+  std::size_t step_frames_{0};
+  core::ElementPosition step_pos_{};  ///< the selected element, for the field
+  std::vector<dsp::DecimatedSample> step_samples_;
+  std::vector<std::int16_t> step_codes_;
   metrics::Counter* faults_injected_metric_;
 };
 

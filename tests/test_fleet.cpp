@@ -5,6 +5,8 @@
 // Ward suites run under the CI TSan job.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,7 @@
 #include "src/bio/population.hpp"
 #include "src/bio/pulse_generator.hpp"
 #include "src/common/metrics.hpp"
+#include "src/common/simd.hpp"
 #include "src/fleet/fault_plan.hpp"
 #include "src/fleet/fleet_scheduler.hpp"
 
@@ -404,6 +407,201 @@ TEST(Fleet, LifecyclePauseResumeDischarge) {
   EXPECT_EQ(scheduler.step_all(), 0u) << "discharged sessions never step";
   // Everything produced before discharge reached the ward.
   EXPECT_EQ(ward.session(id)->codes, scheduler.config().frames_per_step);
+}
+
+// --- Banked shard under churn ----------------------------------------------
+
+/// The churn ward: ten sessions, so a serial cohort carries two 4-wide
+/// packets plus 1-wide leftovers under AVX2, and every lifecycle path
+/// re-points the bank. A 3 s analysis window with 0.5 s hops makes beat,
+/// alarm and quality events flow within the 3.5 s run.
+constexpr std::size_t kChurnSessions = 10;
+constexpr double kChurnDuration = 3.5;
+constexpr std::uint32_t kChurnQuarantined = 1;  ///< throws once, readmitted
+constexpr std::uint32_t kChurnRerouted = 2;     ///< element fault → mux fallback
+constexpr std::uint32_t kChurnPaused = 3;       ///< paused for batches 6–11
+constexpr std::uint32_t kChurnDischarged = 4;   ///< discharged before batch 9
+constexpr std::uint32_t kChurnExternal = 5;     ///< fed through ingest_codes
+constexpr std::size_t kChurnDischargeSteps = 9;
+
+SessionConfig churn_config(std::uint32_t id) {
+  SessionConfig config = mixed_config(id % 3);
+  config.streaming.window_s = 3.0;
+  config.streaming.hop_s = 0.5;
+  config.streaming.gate_on_quality = false;  // a 3 s window grades unusable
+  if (id == kChurnQuarantined) {
+    config.manual_faults.push_back(FaultEvent{.kind = FaultKind::kContactLoss,
+                                              .at_s = 0.3,
+                                              .duration_s = 0.2,
+                                              .throw_count = 1});
+  }
+  if (id == kChurnRerouted) {
+    // The readout element (0, 0) dies silently: the session re-routes and
+    // its next frames take the pipeline's scalar mux-transient fallback.
+    config.manual_faults.push_back(FaultEvent{.kind = FaultKind::kElementFault,
+                                              .at_s = 0.5,
+                                              .row = 0,
+                                              .col = 0,
+                                              .throw_count = 0});
+  }
+  if (id == kChurnExternal) config.external_ingest = true;
+  return config;
+}
+
+/// The codes the external-ingest session is fed, 64 per batch: another
+/// session's live stream.
+std::vector<std::int16_t> churn_feed() {
+  PatientSession source{99, churn_config(0)};
+  std::vector<std::int16_t> codes;
+  while (source.stream_time_s() < kChurnDuration) {
+    source.step(FleetConfig{}.frames_per_step);
+    source.codes().pop_all(codes);
+  }
+  return codes;
+}
+
+/// What the ward saw of one session's event stream (the ward consumes the
+/// events, so this is their observable trace), plus its codes.
+struct ChurnTrace {
+  std::vector<std::int16_t> codes;
+  std::uint64_t events{0};
+  std::uint64_t beats{0};
+  double last_systolic_mmhg{0.0};
+  double last_diastolic_mmhg{0.0};
+  double last_beat_s{0.0};
+  double last_sqi{0.0};
+  std::size_t alarms_active{0};
+  bool operator==(const ChurnTrace&) const = default;
+};
+
+ChurnTrace churn_trace(const WardAggregator& ward, std::uint32_t id) {
+  const auto* s = ward.session(id);
+  return {ward.recorded_codes(id), s->events, s->beats, s->last_systolic_mmhg,
+          s->last_diastolic_mmhg, s->last_beat_s, s->last_sqi, s->alarms_active};
+}
+
+/// Each session alone: PatientSession::step in a retry loop (the solo
+/// analogue of quarantine + readmission), drained into its own ward.
+std::vector<ChurnTrace> run_churn_solo(const std::vector<std::int16_t>& feed) {
+  WardConfig ward_config;
+  ward_config.record_codes = true;
+  WardAggregator ward{ward_config};
+  FleetScheduler seeder{FleetConfig{}, ward};
+  const std::size_t frames = FleetConfig{}.frames_per_step;
+  std::vector<std::unique_ptr<PatientSession>> sessions;
+  for (std::uint32_t id = 0; id < kChurnSessions; ++id) {
+    SessionConfig config = churn_config(id);
+    config.seed = seeder.session_seed(id);
+    sessions.push_back(std::make_unique<PatientSession>(id, std::move(config)));
+    ward.attach(*sessions.back(), "");
+  }
+  for (std::uint32_t id = 0; id < kChurnSessions; ++id) {
+    PatientSession& solo = *sessions[id];
+    std::size_t steps = 0;
+    std::size_t fed = 0;
+    while (solo.stream_time_s() < kChurnDuration &&
+           (id != kChurnDischarged || steps < kChurnDischargeSteps)) {
+      try {
+        solo.step(frames);
+      } catch (const std::exception&) {
+        continue;
+      }
+      ++steps;
+      if (id == kChurnExternal) {
+        solo.ingest_codes(std::span{feed}.subspan(fed, frames));
+        fed += frames;
+      }
+      (void)ward.drain_once();
+    }
+  }
+  std::vector<ChurnTrace> traces;
+  for (std::uint32_t id = 0; id < kChurnSessions; ++id) {
+    traces.push_back(churn_trace(ward, id));
+  }
+  return traces;
+}
+
+struct ChurnRun {
+  std::vector<ChurnTrace> traces;
+  std::string snapshot;
+  std::uint64_t restored{0};
+  std::uint64_t mux_fallbacks{0};
+};
+
+/// The churn schedule on one FleetScheduler, driven batch by batch.
+ChurnRun run_churn_fleet(std::size_t threads, const std::vector<std::int16_t>& feed) {
+  WardConfig ward_config;
+  ward_config.record_codes = true;
+  WardAggregator ward{ward_config};
+  FleetConfig fleet_config;
+  fleet_config.threads = threads;
+  FleetScheduler scheduler{fleet_config, ward};
+  for (std::uint32_t id = 0; id < kChurnSessions; ++id) {
+    (void)scheduler.admit(churn_config(id));
+  }
+  auto& fallbacks = metrics::Registry::global().counter(metrics::names::kPipelineMuxFallbacks);
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  const std::size_t frames = fleet_config.frames_per_step;
+  std::size_t fed = 0;
+  for (std::size_t batch = 0;; ++batch) {
+    if (batch == 6) scheduler.pause(kChurnPaused);
+    if (batch == 12) scheduler.resume(kChurnPaused);
+    if (batch == kChurnDischargeSteps) scheduler.discharge(kChurnDischarged);
+    const std::size_t stepped = scheduler.step_all(kChurnDuration);
+    // The external session's first step admitted it; feed one batch of
+    // codes per step at the barrier, as a gateway pump would.
+    PatientSession& external = *scheduler.session(kChurnExternal);
+    if (fed == 0 || external.stream_time_s() < kChurnDuration) {
+      external.ingest_codes(std::span{feed}.subspan(fed, frames));
+      fed += frames;
+    }
+    if (stepped == 0 && !scheduler.recovery_pending(kChurnDuration) &&
+        scheduler.state(kChurnPaused) != SessionState::kPaused) {
+      break;
+    }
+  }
+  (void)ward.drain_once();
+  ward.settle();
+  ChurnRun run;
+  for (std::uint32_t id = 0; id < kChurnSessions; ++id) {
+    run.traces.push_back(churn_trace(ward, id));
+  }
+  std::ostringstream os;
+  ward.export_jsonl(os);
+  run.snapshot = os.str();
+  run.restored = scheduler.checkpoints_restored();
+  run.mux_fallbacks = fallbacks.value() - fallbacks_before;
+  EXPECT_EQ(scheduler.state(kChurnQuarantined), SessionState::kRunning);
+  EXPECT_EQ(scheduler.state(kChurnDischarged), SessionState::kDischarged);
+  bool rerouted = false;
+  for (const auto& line : scheduler.session(kChurnRerouted)->fault_log()) {
+    rerouted |= line.find("rerouted readout") != std::string::npos;
+  }
+  EXPECT_TRUE(rerouted);
+  return run;
+}
+
+TEST(Fleet, BankedShardUnderChurnMatchesSoloSessions) {
+  const auto feed = churn_feed();
+  const auto solo = run_churn_solo(feed);
+  const simd::Level ambient = simd::active_level();
+  std::vector<ChurnRun> runs;
+  for (const simd::Level level : {simd::Level::kScalar, simd::runtime_level()}) {
+    simd::force_active_level(level);  // the scheduler's banks resolve at construction
+    runs.push_back(run_churn_fleet(1, feed));
+    simd::force_active_level(ambient);
+  }
+  runs.push_back(run_churn_fleet(3, feed));
+  for (const auto& run : runs) {
+    EXPECT_EQ(run.restored, 1u) << "the quarantined session resumes as a fresh object";
+    EXPECT_GT(run.mux_fallbacks, 0u) << "the re-route ran frames on the scalar fallback";
+    for (std::uint32_t id = 0; id < kChurnSessions; ++id) {
+      ASSERT_FALSE(run.traces[id].codes.empty()) << "session " << id;
+      EXPECT_EQ(run.traces[id], solo[id]) << "session " << id << " diverged from solo";
+    }
+    EXPECT_EQ(run.snapshot, runs.front().snapshot);
+  }
+  EXPECT_GT(solo[0].beats, 0u) << "the run must carry beat events";
 }
 
 // --- Ward aggregator unit tests: fabricated events through real rings -----

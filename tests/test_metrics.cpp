@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/simd.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/sweep_runner.hpp"
@@ -350,6 +351,33 @@ TEST(MetricsWiring, NoisePlanFillsCountFrames) {
   std::vector<int> bits(128 * 5);
   mod.step_capacitive_block(104e-15, 100e-15, bits.data(), bits.size());
   EXPECT_EQ(counter.value() - fills0, 5u);
+}
+
+TEST(MetricsWiring, BankCountsPackedAndNarrowLaneFramesPerBlock) {
+  EnabledGuard guard;
+  set_enabled(true);
+  auto& packed = Registry::global().counter(names::kBankPackedLaneFrames);
+  auto& narrow = Registry::global().counter(names::kBankNarrowLaneFrames);
+  const auto packed0 = packed.value();
+  const auto narrow0 = narrow.value();
+  constexpr std::size_t kLanes = 9;
+  analog::ModulatorBank bank{analog::ModulatorConfig{}, kLanes};
+  const std::vector<double> c_sense(kLanes, 104e-15);
+  const std::vector<double> c_ref(kLanes, 100e-15);
+  std::vector<int> bits(kLanes * 128 * 3);
+  bank.step_capacitive_block(c_sense.data(), c_ref.data(), bits.data(), 128 * 3);
+  // Same control structure everywhere: full packets, the rest 1-wide.
+  const std::size_t wide = kLanes / bank.simd_width() * bank.simd_width();
+  const std::size_t expect_packed = bank.simd_width() > 1 ? wide * 3 : 0;
+  EXPECT_EQ(packed.value() - packed0, expect_packed);
+  EXPECT_EQ(narrow.value() - narrow0, kLanes * 3 - expect_packed);
+}
+
+TEST(Registry, ProcessSimdWidthIsTheActiveDispatch) {
+  Registry reg;
+  register_standard_instruments(reg);
+  EXPECT_EQ(reg.gauge(names::kProcessSimdWidth).value(),
+            static_cast<double>(simd::level_width(simd::active_level())));
 }
 
 }  // namespace
