@@ -31,6 +31,20 @@ ChipConfig with_backpressure(ChipConfig chip, double hold_down_mmhg) {
 
 }  // namespace
 
+CuffTarget cuff_target(const bio::ArterialPulseGenerator& pulse,
+                       const bio::PulseConfig& setpoints) {
+  const auto& truth = pulse.beat_truth();
+  if (truth.size() < 5) return {setpoints.systolic_mmhg, setpoints.diastolic_mmhg};
+  double sys_acc = 0.0;
+  double dia_acc = 0.0;
+  const std::size_t take = std::min<std::size_t>(truth.size(), 20);
+  for (std::size_t i = truth.size() - take; i < truth.size(); ++i) {
+    sys_acc += truth[i].systolic_mmhg;
+    dia_acc += truth[i].diastolic_mmhg;
+  }
+  return {sys_acc / static_cast<double>(take), dia_acc / static_cast<double>(take)};
+}
+
 TwoPointCalibration calibrate_on_window(std::span<const dsp::DecimatedSample> window,
                                         double sample_rate_hz, const bio::CuffReading& cuff,
                                         bool enforce_quality, const std::string& who,
@@ -189,22 +203,10 @@ bio::CuffReading BloodPressureMonitor::calibrate(double window_s,
                                                  const bio::CuffConfig& cuff_config,
                                                  bool enforce_quality) {
   // 1. Cuff reading against the patient's current ground truth.
-  double truth_sys = wrist_.pulse.systolic_mmhg;
-  double truth_dia = wrist_.pulse.diastolic_mmhg;
-  const auto& truth = pulse_->beat_truth();
-  if (truth.size() >= 5) {
-    double sys_acc = 0.0;
-    double dia_acc = 0.0;
-    const std::size_t take = std::min<std::size_t>(truth.size(), 20);
-    for (std::size_t i = truth.size() - take; i < truth.size(); ++i) {
-      sys_acc += truth[i].systolic_mmhg;
-      dia_acc += truth[i].diastolic_mmhg;
-    }
-    truth_sys = sys_acc / static_cast<double>(take);
-    truth_dia = dia_acc / static_cast<double>(take);
-  }
+  const CuffTarget target = cuff_target(*pulse_, wrist_.pulse);
   bio::OscillometricCuff cuff{cuff_config};
-  const auto reading = cuff.measure(truth_sys, truth_dia, wrist_.pulse.heart_rate_bpm);
+  const auto reading = cuff.measure(target.systolic_mmhg, target.diastolic_mmhg,
+                                    wrist_.pulse.heart_rate_bpm);
   if (!reading.valid) {
     throw std::runtime_error{"BloodPressureMonitor: cuff measurement failed"};
   }

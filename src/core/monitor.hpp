@@ -54,6 +54,18 @@ struct WristModel {
   std::shared_ptr<const bio::ScenarioProfile> scenario;
 };
 
+/// The pressures an oscillometric cuff reads against (§3.2): the mean
+/// systolic and diastolic of the patient's last ≤ 20 completed beats, or the
+/// configured setpoints while fewer than 5 beats are on record. Reads the
+/// generator's truth log without draining it. BloodPressureMonitor::calibrate
+/// and fleet admission both take their cuff reading against it.
+struct CuffTarget {
+  double systolic_mmhg{0.0};
+  double diastolic_mmhg{0.0};
+};
+[[nodiscard]] CuffTarget cuff_target(const bio::ArterialPulseGenerator& pulse,
+                                     const bio::PulseConfig& setpoints);
+
 /// Cuff-anchored calibration (§3.2) shared by BloodPressureMonitor::calibrate
 /// and fleet admission: analyses the acquired calibration window once, gates
 /// on that analysis's quality grade (when `enforce_quality`) and anchors its

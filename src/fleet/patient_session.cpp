@@ -140,21 +140,23 @@ void PatientSession::admit() {
     (void)core::ScanController{}.scan(pipeline, field_);
   }
 
-  // Cuff-anchored calibration (§3.2); the cuff draws from its own session stream.
+  const double fs = pipeline.output_rate_hz();
+  const auto window =
+      pipeline.acquire_block(field_, static_cast<std::size_t>(config_.calibration_window_s * fs));
+
+  // Cuff-anchored calibration (§3.2), read against the beats of the window
+  // just acquired; the cuff draws from its own session stream.
   bio::CuffConfig cuff_config;
   cuff_config.seed = derive_seeds(config_.seed).cuff;
   bio::OscillometricCuff cuff{cuff_config};
-  const auto reading =
-      cuff.measure(config_.wrist.pulse.systolic_mmhg, config_.wrist.pulse.diastolic_mmhg,
-                   config_.wrist.pulse.heart_rate_bpm);
+  const core::CuffTarget target = core::cuff_target(inner_->pulse(), config_.wrist.pulse);
+  const auto reading = cuff.measure(target.systolic_mmhg, target.diastolic_mmhg,
+                                    config_.wrist.pulse.heart_rate_bpm);
   if (!reading.valid) {
     throw std::runtime_error{"PatientSession: cuff measurement failed"};
   }
-
-  const double fs = pipeline.output_rate_hz();
-  calibration_ = core::calibrate_on_window(
-      pipeline.acquire_block(field_, static_cast<std::size_t>(config_.calibration_window_s * fs)),
-      fs, reading, config_.enforce_quality, "PatientSession");
+  calibration_ = core::calibrate_on_window(window, fs, reading, config_.enforce_quality,
+                                           "PatientSession");
 
   make_stream_();
   // Monitoring starts here: fault-plan onsets (stream time) map onto the

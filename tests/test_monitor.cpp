@@ -180,5 +180,29 @@ TEST(Monitor, MonitorWithoutCalibrationStaysRaw) {
   for (double v : rep.waveform_mmhg) EXPECT_LT(std::abs(v), 1.0);
 }
 
+TEST(Monitor, CuffTargetAveragesTheLastBeatsWithoutDraining) {
+  bio::PulseConfig config;
+  config.systolic_mmhg = 131.0;
+  config.diastolic_mmhg = 77.0;
+  bio::ArterialPulseGenerator pulse{config};
+  // Setpoints until five beats are on record.
+  auto target = cuff_target(pulse, config);
+  EXPECT_EQ(target.systolic_mmhg, 131.0);
+  EXPECT_EQ(target.diastolic_mmhg, 77.0);
+  (void)pulse.generate(1000.0, 40000);  // ~40 s: well past 20 beats
+  const auto& truth = pulse.beat_truth();
+  ASSERT_GT(truth.size(), 20u);
+  double sys = 0.0, dia = 0.0;
+  for (std::size_t i = truth.size() - 20; i < truth.size(); ++i) {
+    sys += truth[i].systolic_mmhg;
+    dia += truth[i].diastolic_mmhg;
+  }
+  const std::size_t logged = truth.size();
+  target = cuff_target(pulse, config);
+  EXPECT_DOUBLE_EQ(target.systolic_mmhg, sys / 20.0);
+  EXPECT_DOUBLE_EQ(target.diastolic_mmhg, dia / 20.0);
+  EXPECT_EQ(pulse.beat_truth().size(), logged) << "the truth log must not drain";
+}
+
 }  // namespace
 }  // namespace tono::core
