@@ -259,7 +259,7 @@ struct FleetFixture {
   std::unique_ptr<fleet::FleetScheduler> scheduler;
 
   explicit FleetFixture(std::size_t n_sessions) {
-    fleet::FleetConfig config;  // threads = 0: hardware concurrency
+    fleet::FleetConfig config;
     config.base_seed = 11;
     scheduler = std::make_unique<fleet::FleetScheduler>(config, ward);
     for (std::size_t i = 0; i < n_sessions; ++i) {
@@ -277,12 +277,12 @@ FleetFixture& fleet_fixture(std::size_t n_sessions) {
 }
 
 void BM_FleetSteadyState(benchmark::State& state) {
-  // Arg = admitted sessions. One iteration = one scheduler batch (every
-  // session advances frames_per_step output frames, ward drained). Items
-  // are output codes across the whole ward, so items_per_second at
-  // different Args gives the fleet scaling factor directly, and
-  // items_per_second / 1 kHz is how many real-time patients this host
-  // serves at that ward size.
+  // Arg = admitted sessions. One iteration = one scheduler batch on this
+  // thread (every session advances frames_per_step output frames as lanes
+  // of one bank, ward drained). Items are output codes across the whole
+  // ward, so items_per_second at different Args shows what wider bank
+  // packets buy on one core, and items_per_second / 1 kHz is how many
+  // real-time patients one core serves at that ward size.
   auto& fixture = fleet_fixture(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(fixture.scheduler->step_all());
@@ -297,9 +297,8 @@ void BM_FleetSteadyState(benchmark::State& state) {
 BENCHMARK(BM_FleetSteadyState)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
 
 // A pre-admitted hospital at steady state: sessions split across shards,
-// each shard on its own driver thread with a serial scheduler
-// (threads_per_shard = 1), so the scaling factor across shard counts
-// isolates exactly what sharding buys. Cached like the fleet fixture —
+// each shard on its own driver thread, so the scaling factor across shard
+// counts isolates exactly what sharding buys. Cached like the fleet fixture —
 // admission (cuff calibration per session) stays out of the timed region.
 struct HospitalFixture {
   std::unique_ptr<fleet::HospitalScheduler> hospital;
@@ -308,7 +307,6 @@ struct HospitalFixture {
   HospitalFixture(std::size_t n_sessions, std::size_t shards) {
     fleet::HospitalConfig config;
     config.shards = shards;
-    config.threads_per_shard = 1;  // shard drivers are the parallelism
     config.base_seed = 11;
     hospital = std::make_unique<fleet::HospitalScheduler>(config);
     for (std::size_t i = 0; i < n_sessions; ++i) {

@@ -147,9 +147,7 @@ int main() {
     fleet::WardConfig ward_config;
     ward_config.record_codes = true;
     fleet::WardAggregator ward{ward_config};
-    fleet::FleetConfig fleet_config;
-    fleet_config.threads = 1;
-    fleet::FleetScheduler shard{fleet_config, ward};
+    fleet::FleetScheduler shard{fleet::FleetConfig{}, ward};
     constexpr std::uint32_t kSessions = 9;
     for (std::uint32_t i = 0; i < kSessions; ++i) {
       (void)shard.admit(examples::session_mix(i));

@@ -3,7 +3,7 @@
 // alarm aggregation, asynchronous JSONL snapshots.
 //
 //   ward_server --sessions 256 --shards 4 --duration 10 --seed 11
-//               [--threads 0] [--frames-per-step 64] [--epoch-batches 16]
+//               [--frames-per-step 64] [--epoch-batches 16]
 //               [--code-policy drop|block] [--fault-plan contact=1,link=1,element=1]
 //               [--max-readmits 3] [--snapshot ward.jsonl] [--snapshot-every 0]
 //               [--checkpoint ward.ckpt] [--checkpoint-every 0] [--resume]
@@ -14,11 +14,11 @@
 // Each session is a full vertical slice (scenario → transducer → ΔΣ →
 // decimation → streaming monitor). Sessions are assigned to shards purely by
 // id (id % shards); each shard steps its sessions in deterministic lockstep
-// batches on its own scheduler and thread pool, so results — including the
-// snapshot bytes — are bit-identical across shard and thread counts (see
-// docs/FLEET.md). The session mix cycles through the patient presets and
-// scenarios so a default run exercises alarms, quality gating and
-// escalation.
+// batches on its own scheduler and thread (--shards defaults to the core
+// count), so results — including the snapshot bytes — are bit-identical
+// across shard counts (see docs/FLEET.md). The session mix cycles through
+// the patient presets and scenarios so a default run exercises alarms,
+// quality gating and escalation.
 //
 // Checkpoint & resume: --checkpoint writes a crash-safe checkpoint (atomic
 // tmp+fsync+rename) every --checkpoint-every epochs and at the end of the
@@ -45,6 +45,7 @@
 #include <span>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "examples/session_mix.hpp"
@@ -117,12 +118,13 @@ int main(int argc, char** argv) {
   args.add_double("duration", "monitoring stream per session [s]", 10.0, {.above = 0.0});
   args.add_int("seed", "fleet base seed (per-session seeds derive from it)", 11,
                {.min = 0});
-  args.add_int("shards", "independent ward shards, each with its own scheduler", 1,
-               {.min = 1});
-  args.add_int("threads",
-               "worker threads per shard (0 = hardware/shards, 1 = serial shard)", 0,
-               {.min = 0});
-  args.add_int("frames-per-step", "output frames per session per batch", 64, {.min = 1});
+  args.add_int("shards", "independent ward shards, one thread each (default: cores)",
+               std::max(1u, std::thread::hardware_concurrency()), {.min = 1});
+  // A session's code ring must hold one whole batch (FleetScheduler::admit);
+  // every session_mix config keeps the default ring.
+  args.add_int("frames-per-step", "output frames per session per batch", 64,
+               {.min = 1,
+                .max = static_cast<double>(session_mix(0).code_ring_capacity)});
   args.add_int("epoch-batches", "batches per shard between hospital epochs", 16,
                {.min = 1});
   args.add_string("code-policy", "codes-ring backpressure", "drop", {"drop", "block"});
@@ -207,7 +209,6 @@ int main(int argc, char** argv) {
   };
   fleet::HospitalConfig hospital_config;
   hospital_config.shards = unsigned_flag("shards");
-  hospital_config.threads_per_shard = unsigned_flag("threads");
   hospital_config.base_seed = unsigned_flag("seed");
   hospital_config.frames_per_step = unsigned_flag("frames-per-step");
   hospital_config.epoch_batches = unsigned_flag("epoch-batches");
@@ -280,7 +281,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "ward_server: " << n_sessions << " sessions "
             << (replay_mode ? "replayed" : "admitted") << ", " << hospital.shards()
-            << " shard(s) x " << hospital.threads_per_shard() << " worker thread(s), "
+            << " shard(s), one thread each, "
             << (wired ? transport + " wire, " : "") << duration_s
             << " s per session\n";
   if (transport == "tcp") {

@@ -261,7 +261,7 @@ void register_standard_instruments(Registry& r) {
        {kModulatorPeakState1V, kModulatorPeakState2V, kModulatorClipCount,
         kSweepThreads, kPoolPeakQueueDepth, kPoolQueueDepth,
         kMonitorLastSqi, kMonitorAlarmLatencyS, kFleetSessionsActive,
-        kWardAlarmsActive, kHospitalShards, kHospitalShardsActive,
+        kWardAlarmsActive, kHospitalShardsActive,
         kHospitalCodesConsumed, kHospitalAlarmsActive, kGatewayChannels,
         kGatewayReplaySpeedup, kValidationLastSysBias, kValidationLastSysSd}) {
     (void)r.gauge(name);

@@ -257,7 +257,6 @@ inline constexpr const char* kWardEscalations = "ward.escalations";
 inline constexpr const char* kHospitalEpochs = "hospital.epochs";
 inline constexpr const char* kHospitalSnapshotsWritten = "hospital.snapshots_written";
 inline constexpr const char* kHospitalSnapshotsSkipped = "hospital.snapshots_skipped";
-inline constexpr const char* kHospitalShards = "hospital.shards";
 inline constexpr const char* kHospitalShardsActive = "hospital.shards_active";
 inline constexpr const char* kHospitalCodesConsumed = "hospital.codes_consumed";
 inline constexpr const char* kHospitalAlarmsActive = "hospital.alarms_active";

@@ -107,7 +107,8 @@ class RingBuffer {
   }
 
   /// Enqueue under the given policy. kBlock spin-yields until space frees
-  /// up (the consumer must be live — see the fleet scheduler's drain loop);
+  /// up, so the consumer must be live or the ring must have room for every
+  /// push before the next drain (the fleet scheduler sizes rings to a batch);
   /// kDropOldest reclaims the oldest item. Returns the number of items
   /// dropped to admit this one (always 0 under kBlock).
   std::size_t push(const T& item, BackpressurePolicy policy) noexcept {

@@ -1,4 +1,7 @@
 // thread_pool.hpp — a small fixed-size worker pool for the sweep engine.
+// Its only user is SweepRunner (sweeps, validation_report, and parallel
+// admission in the ward benchmark); the serving path's parallelism is
+// hospital shards, one thread each.
 //
 // Plain std::thread workers draining one mutex-guarded task queue. Nothing
 // clever on purpose: SweepRunner, built on top, guarantees bit-identical
@@ -32,8 +35,8 @@ class ThreadPool {
 
   /// Enqueues a task. A throwing task no longer takes the process down:
   /// the pool captures the first uncaught exception and rethrows it on the
-  /// next wait_idle() (callers that need per-task granularity — SweepRunner,
-  /// FleetScheduler — still catch inside the task; they never see this path).
+  /// next wait_idle() (SweepRunner, which needs per-task granularity, still
+  /// catches inside the task; it never sees this path).
   void submit(std::function<void()> task);
 
   /// Blocks until the queue is empty and every worker is idle, then rethrows

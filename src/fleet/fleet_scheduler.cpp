@@ -1,10 +1,8 @@
 #include "src/fleet/fleet_scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/common/checkpoint.hpp"
@@ -19,10 +17,6 @@ FleetScheduler::FleetScheduler(FleetConfig config, WardAggregator& ward)
   }
   if (config_.session_id_stride == 0) {
     throw std::invalid_argument{"FleetScheduler: session_id_stride must be > 0"};
-  }
-  if (config_.threads != 1) pool_ = std::make_unique<ThreadPool>(config_.threads);
-  for (std::size_t c = 0; c < thread_count(); ++c) {
-    cohorts_.push_back(std::make_unique<Cohort>());
   }
   auto& reg = metrics::Registry::global();
   admitted_metric_ = &reg.counter(metrics::names::kFleetSessionsAdmitted);
@@ -58,8 +52,8 @@ std::uint32_t FleetScheduler::admit(SessionConfig config, std::string label) {
       config_.session_id_offset + index * config_.session_id_stride);
   if (config.seed == 0) config.seed = session_seed(id);
   if (config.code_ring_capacity < config_.frames_per_step) {
-    // In serial mode nothing drains mid-batch; a ring smaller than one
-    // batch would wedge a blocking push forever.
+    // Nothing drains mid-batch; a ring smaller than one batch would wedge
+    // a blocking push forever.
     throw std::invalid_argument{
         "FleetScheduler: code ring capacity must cover one batch "
         "(frames_per_step)"};
@@ -227,8 +221,8 @@ std::size_t FleetScheduler::step_all(double until_s) {
   // Readmission backoff is measured against this counter, so it advances on
   // every call — including batches that end up empty.
   ++batch_index_;
-  // Batch membership decided up front on the caller thread; workers never
-  // touch lifecycle state.
+  // Batch membership is decided up front; stepping never touches lifecycle
+  // state.
   std::vector<Slot*> batch;
   batch.reserve(sessions_.size());
   for (auto& slot : sessions_) {
@@ -254,32 +248,11 @@ std::size_t FleetScheduler::step_all(double until_s) {
   const std::size_t frames = config_.frames_per_step;
   std::vector<std::exception_ptr> errors(batch.size());
 
-  if (pool_ == nullptr) {
-    // Serial reference execution: one cohort on the caller thread. Rings
-    // hold a full batch (enforced at admit), so nothing blocks with the
-    // consumer waiting below.
-    step_cohort_(*cohorts_.front(), batch, errors, frames);
-  } else {
-    // One task per cohort, contiguous slices of the batch; the caller
-    // drains the ward while the workers produce, which is what un-blocks a
-    // full ring under the blocking policy.
-    const std::size_t n_cohorts = std::min(cohorts_.size(), batch.size());
-    std::atomic<std::size_t> remaining{n_cohorts};
-    for (std::size_t c = 0; c < n_cohorts; ++c) {
-      const std::size_t lo = batch.size() * c / n_cohorts;
-      const std::size_t hi = batch.size() * (c + 1) / n_cohorts;
-      pool_->submit([this, c, lo, hi, frames, &batch, &errors, &remaining] {
-        step_cohort_(*cohorts_[c], std::span{batch}.subspan(lo, hi - lo),
-                     std::span{errors}.subspan(lo, hi - lo), frames);
-        remaining.fetch_sub(1, std::memory_order_release);
-      });
-    }
-    while (remaining.load(std::memory_order_acquire) > 0) {
-      if (ward_.drain_once() == 0) std::this_thread::yield();
-    }
-  }
+  // Rings hold a full batch (the code ring is checked at admit), so nothing
+  // blocks with the consumer waiting below.
+  step_cohort_(batch, errors, frames);
 
-  // Production barrier: every cohort has returned. The gateway pump
+  // Production barrier: every session has stepped. The gateway pump
   // (set_batch_hook) delivers this batch's wire traffic into the session
   // rings here, before the ward's final drain and escalation below.
   if (batch_hook_) batch_hook_();
@@ -309,15 +282,15 @@ std::size_t FleetScheduler::step_all(double until_s) {
   active_gauge_->set(static_cast<double>(active_sessions()));
   (void)ward_.drain_once();
   // Escalation runs only here, at the batch barrier, where every code and
-  // event of the batch has been consumed — mid-batch drains see partial
-  // counts and would make notice→urgent timing depend on the thread count.
+  // event of the batch has been consumed.
   ward_.settle();
   return stepped;
 }
 
-void FleetScheduler::step_cohort_(Cohort& c, std::span<Slot* const> batch,
+void FleetScheduler::step_cohort_(std::span<Slot* const> batch,
                                   std::span<std::exception_ptr> errors,
                                   std::size_t frames) {
+  Cohort& c = cohort_;
   const auto guarded = [&](std::size_t i, auto&& phase) {
     try {
       phase(*batch[i]->session);

@@ -1,22 +1,22 @@
 // fleet_scheduler.hpp — deterministic batch stepping of many sessions.
 //
 // The serving loop of the fleet layer (docs/FLEET.md): sessions advance in
-// lockstep batches of `frames_per_step` output frames. A batch is cut into
-// contiguous cohorts, one per thread; a cohort steps its sessions frame by
-// frame, running all their ΔΣ modulators as lanes of one ModulatorBank
-// (lane == solo, so this changes scheduling only). A session belongs to one
-// cohort, so it is never stepped by two threads at once. While pool tasks
-// produce, the caller thread drains the ward aggregator, which is what lets
-// tiny rings with blocking backpressure make progress (and why the blocking
-// policy cannot deadlock: with threads == 1 the one cohort runs on the
-// caller with no concurrent consumer, so ring capacities must cover one
-// whole batch — enforced at admission).
+// lockstep batches of `frames_per_step` output frames. The whole batch is
+// one cohort, stepped on the calling thread frame by frame: every frame
+// runs all the sessions' ΔΣ modulators as lanes of one ModulatorBank (lane
+// == solo, so this changes scheduling only). Parallelism lives one layer up:
+// a HospitalScheduler gives each shard its own FleetScheduler and driver
+// thread. Nothing drains the rings mid-batch, so a blocking ring must hold
+// one whole batch: admission rejects a code ring smaller than
+// frames_per_step, and a kBlock event ring must hold one batch's events,
+// which nothing checks (a session emits a few events per second of stream,
+// far below the default capacity).
 //
 // Determinism reuses the SweepRunner pattern: session i's seed derives from
 // (base_seed, stream_name, admission index) alone, every session owns all
-// of its mutable state, and each batch is a barrier — so the parallel fleet
-// is bit-identical to stepping the same sessions serially, regardless of
-// thread count or scheduling (tests/test_fleet.cpp).
+// of its mutable state, and each batch is a barrier — so a fleet session is
+// bit-identical to the same session stepped solo, and a shard of a hospital
+// to the unsharded fleet (tests/test_fleet.cpp, tests/test_hospital.cpp).
 //
 // Crash isolation: an admit()/step() that throws quarantines that session —
 // the exception is recorded as the quarantine reason, the batch and every
@@ -28,8 +28,8 @@
 // as kRecovering and stepped again — back to kRunning on success, another
 // strike on a throw. A session exceeding max_readmits strikes is kRetired
 // for good. Backoff in batches (not wall time) keeps the whole state
-// machine, and therefore every snapshot byte, identical across thread
-// counts and runs.
+// machine, and therefore every snapshot byte, identical across shard
+// layouts and runs.
 #pragma once
 
 #include <cstdint>
@@ -41,16 +41,12 @@
 
 #include "src/analog/modulator_bank.hpp"
 #include "src/common/metrics.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/fleet/patient_session.hpp"
 #include "src/fleet/ward_aggregator.hpp"
 
 namespace tono::fleet {
 
 struct FleetConfig {
-  /// Worker threads. 0 → hardware concurrency; 1 → serial reference loop
-  /// (no pool), the execution every parallel run must be bit-identical to.
-  std::size_t threads{0};
   std::uint64_t base_seed{0x70A05EEDull};
   /// Seed-stream family name; two fleets with different names draw
   /// decorrelated session seeds from the same base seed.
@@ -93,9 +89,10 @@ class FleetScheduler {
   /// The id is session_id_offset + n·session_id_stride for the n-th
   /// admission; config.seed == 0 is replaced with session_seed(id).
   /// Admission work (localization + calibration) runs inside the session's
-  /// first batch step, so it parallelizes and quarantines like a step.
+  /// first batch step, so it quarantines like a step.
   /// Throws std::invalid_argument if the code ring cannot hold one batch
-  /// (frames_per_step) — the serial-mode deadlock guard.
+  /// (frames_per_step): nothing drains mid-batch, so a smaller ring would
+  /// wedge a blocking push.
   std::uint32_t admit(SessionConfig config, std::string label = "");
 
   void pause(std::uint32_t id);
@@ -108,9 +105,6 @@ class FleetScheduler {
   [[nodiscard]] PatientSession* session(std::uint32_t id);
   [[nodiscard]] std::size_t size() const noexcept { return sessions_.size(); }
   [[nodiscard]] std::size_t active_sessions() const;
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return pool_ ? pool_->thread_count() : 1;
-  }
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
 
   /// One batch: every admitted/running session with stream_time_s() <
@@ -139,8 +133,8 @@ class FleetScheduler {
   /// Batches ticked so far (every step_all call counts, stepped or empty).
   [[nodiscard]] std::uint64_t batches() const noexcept { return batch_index_; }
 
-  /// Barrier hook: runs on the caller thread inside every non-empty
-  /// step_all(), after the production barrier (all batch steps done) and
+  /// Barrier hook: runs inside every non-empty step_all(), after every
+  /// session of the batch has stepped and
   /// before lifecycle processing and the final drain/settle. The gateway
   /// integration (docs/GATEWAY.md) pumps its demux here — codes that
   /// crossed the wire this batch are delivered into the session rings
@@ -180,14 +174,14 @@ class FleetScheduler {
     std::size_t fault_log_synced{0};  ///< session fault_log entries mirrored to ward
   };
 
-  /// One stepping task's bank and scratch, kept across batches: a cohort
-  /// whose sessions do not change re-points its bank without rebuilding
-  /// packets and allocates nothing.
+  /// The batch's bank and scratch, kept across batches: a batch whose
+  /// sessions do not change re-points the bank without rebuilding packets
+  /// and allocates nothing.
   struct Cohort {
     analog::ModulatorBank bank;
-    std::vector<std::size_t> live;  ///< cohort indices acquiring this step
+    std::vector<std::size_t> live;  ///< batch indices acquiring this step
     std::vector<analog::DeltaSigmaModulator*> lanes;
-    std::vector<std::size_t> lane_owner;  ///< cohort index of each lane
+    std::vector<std::size_t> lane_owner;  ///< batch index of each lane
     std::vector<double> c_sense;
     std::vector<double> c_ref;
     std::vector<int> bits;  ///< lane-major, lanes × clocks
@@ -208,14 +202,13 @@ class FleetScheduler {
   /// bank step of all their modulators and each end_frame, then every
   /// epilogue. A throw lands in that session's `errors` slot and drops it
   /// from the rest of the step; the others go on.
-  void step_cohort_(Cohort& cohort, std::span<Slot* const> batch,
-                    std::span<std::exception_ptr> errors, std::size_t frames);
+  void step_cohort_(std::span<Slot* const> batch, std::span<std::exception_ptr> errors,
+                    std::size_t frames);
 
   FleetConfig config_;
   WardAggregator& ward_;
   std::function<void()> batch_hook_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when threads == 1
-  std::vector<std::unique_ptr<Cohort>> cohorts_;  ///< one per thread
+  Cohort cohort_;
   std::vector<Slot> sessions_;
   std::uint64_t batch_index_{0};
   std::uint64_t checkpoints_written_{0};

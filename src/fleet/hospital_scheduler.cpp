@@ -1,6 +1,5 @@
 #include "src/fleet/hospital_scheduler.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -9,25 +8,16 @@
 #include "src/common/checkpoint.hpp"
 
 namespace tono::fleet {
-namespace {
-
-std::size_t resolve_threads_per_shard(std::size_t requested, std::size_t shards) {
-  if (requested != 0) return requested;
-  const std::size_t hw = std::thread::hardware_concurrency();
-  // shards == 0 is rejected by the constructor; guard the division anyway
-  // (members initialize before the constructor body runs).
-  return std::max<std::size_t>(1, (hw == 0 ? 1 : hw) / std::max<std::size_t>(1, shards));
-}
-
-}  // namespace
 
 HospitalScheduler::HospitalScheduler(HospitalConfig config)
-    : config_(std::move(config)),
-      threads_per_shard_(
-          resolve_threads_per_shard(config_.threads_per_shard, config_.shards)),
-      tree_(config_.shards) {
+    : config_(std::move(config)), tree_(config_.shards) {
   if (config_.shards == 0) {
     throw std::invalid_argument{"HospitalScheduler: shards must be >= 1"};
+  }
+  if (config_.threads_per_shard != 1) {
+    throw std::invalid_argument{
+        "HospitalScheduler: threads_per_shard must be 1 (a shard is one thread; "
+        "add shards for parallelism)"};
   }
   if (config_.epoch_batches == 0) {
     throw std::invalid_argument{"HospitalScheduler: epoch_batches must be >= 1"};
@@ -37,7 +27,6 @@ HospitalScheduler::HospitalScheduler(HospitalConfig config)
     Shard shard;
     shard.ward = std::make_unique<WardAggregator>(config_.ward);
     FleetConfig fleet;
-    fleet.threads = threads_per_shard_;
     fleet.base_seed = config_.base_seed;
     fleet.stream_name = config_.stream_name;
     fleet.frames_per_step = config_.frames_per_step;
@@ -54,12 +43,10 @@ HospitalScheduler::HospitalScheduler(HospitalConfig config)
   auto& reg = metrics::Registry::global();
   epochs_metric_ = &reg.counter(metrics::names::kHospitalEpochs);
   publishes_metric_ = &reg.counter(metrics::names::kShardMirrorPublishes);
-  shards_gauge_ = &reg.gauge(metrics::names::kHospitalShards);
   shards_active_gauge_ = &reg.gauge(metrics::names::kHospitalShardsActive);
   codes_gauge_ = &reg.gauge(metrics::names::kHospitalCodesConsumed);
   alarms_gauge_ = &reg.gauge(metrics::names::kHospitalAlarmsActive);
   epoch_wall_ = &reg.timer(metrics::names::kShardEpochWall);
-  shards_gauge_->set(static_cast<double>(shards_.size()));
 }
 
 HospitalScheduler::~HospitalScheduler() = default;
@@ -142,8 +129,11 @@ void HospitalScheduler::restore_checkpoint(const std::vector<std::uint8_t>& blob
   if (in.size() != admitted_) {
     throw CheckpointError{"hospital checkpoint admission count mismatch"};
   }
-  if (in.size() != shards_.size()) {
-    throw CheckpointError{"hospital checkpoint shard count mismatch"};
+  if (const std::size_t shards = in.size(); shards != shards_.size()) {
+    throw CheckpointError{"hospital checkpoint has " + std::to_string(shards) +
+                          " shards, this hospital has " +
+                          std::to_string(shards_.size()) + " (pass --shards " +
+                          std::to_string(shards) + ")"};
   }
   for (auto& shard : shards_) {
     shard.scheduler->restore(in);

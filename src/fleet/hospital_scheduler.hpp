@@ -3,9 +3,10 @@
 // FleetScheduler runs every session in one lockstep batch, so a single slow
 // session (or the batch barrier itself) gates the whole fleet — measured
 // flat scaling at 64+ sessions. The hospital splits the fleet into
-// independent ward shards: shard s owns its own FleetScheduler, ThreadPool,
-// WardAggregator, code/event rings and seed domain, driven by a dedicated
-// driver thread. Shards only meet at *epoch* boundaries (every
+// independent ward shards: shard s owns its own FleetScheduler,
+// WardAggregator, code/event rings and seed domain, and one driver thread
+// steps its whole batch. Shards are the only parallelism of the serving
+// path: a shard is one thread. Shards only meet at *epoch* boundaries (every
 // `epoch_batches` batches), where a std::barrier completion step aggregates
 // telemetry and hands snapshots to the async writer. Between epochs the
 // shards share nothing mutable — the cross-shard roll-up flows through the
@@ -47,12 +48,12 @@
 namespace tono::fleet {
 
 struct HospitalConfig {
-  /// Ward shards; 1 reproduces the plain FleetScheduler byte-for-byte.
+  /// Ward shards, one driver thread each; 1 reproduces the plain
+  /// FleetScheduler byte-for-byte.
   std::size_t shards{1};
-  /// Worker threads inside each shard's pool; 0 → hardware concurrency /
-  /// shards (min 1). 1 keeps each shard on its driver thread (no pool) —
-  /// the sweet spot when shards ≥ cores.
-  std::size_t threads_per_shard{0};
+  /// Must be 1 (the constructor throws otherwise): a shard is one thread.
+  /// Kept only because wardbench/ward.cpp still assigns it.
+  std::size_t threads_per_shard{1};
   std::uint64_t base_seed{0x70A05EEDull};
   std::string stream_name{"fleet"};
   std::size_t frames_per_step{64};
@@ -112,10 +113,6 @@ class HospitalScheduler {
   void run(double duration_s);
 
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
-  /// Resolved worker threads inside each shard.
-  [[nodiscard]] std::size_t threads_per_shard() const noexcept {
-    return threads_per_shard_;
-  }
   [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] std::size_t active_sessions() const;
   [[nodiscard]] const HospitalConfig& config() const noexcept { return config_; }
@@ -191,7 +188,6 @@ class HospitalScheduler {
   [[nodiscard]] WardSnapshot merge_snapshot_() const;
 
   HospitalConfig config_;
-  std::size_t threads_per_shard_;
   std::vector<Shard> shards_;
   AggregationTree tree_;
   std::unique_ptr<AsyncSnapshotWriter> writer_;  ///< null without snapshot_path
@@ -202,7 +198,6 @@ class HospitalScheduler {
   // Observability (resolved once at construction).
   metrics::Counter* epochs_metric_;
   metrics::Counter* publishes_metric_;
-  metrics::Gauge* shards_gauge_;
   metrics::Gauge* shards_active_gauge_;
   metrics::Gauge* codes_gauge_;
   metrics::Gauge* alarms_gauge_;

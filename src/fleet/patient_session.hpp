@@ -107,9 +107,10 @@ struct SessionConfig {
   /// Reject admission when the calibration window has no usable pulse
   /// (bad placement → quarantine instead of streaming garbage pressures).
   bool enforce_quality{true};
-  /// Ring capacities (rounded up to powers of two) and policies. The codes
-  /// capacity must exceed the scheduler's frames_per_step, or a serial
-  /// (threads == 1) batch could block with nobody draining.
+  /// Ring capacities (rounded up to powers of two) and policies. Nothing
+  /// drains mid-batch, so the codes capacity must cover the scheduler's
+  /// frames_per_step (checked at admission) and a kBlock events ring one
+  /// batch's events (not checked), or a push could block forever.
   std::size_t code_ring_capacity{4096};
   std::size_t event_ring_capacity{256};
   BackpressurePolicy code_policy{BackpressurePolicy::kDropOldest};

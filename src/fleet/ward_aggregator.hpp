@@ -15,7 +15,7 @@
 // Threading contract: drain_once(), attach(), lifecycle updates and
 // snapshots all run on ONE thread (the scheduler's caller). Producers touch
 // only the rings, so the aggregator never reads session objects while
-// workers step them. Consumption totals are mirrored into the global
+// they step. Consumption totals are mirrored into the global
 // metrics registry (ward.* / fleet.ring_* instruments).
 #pragma once
 
@@ -138,15 +138,15 @@ class WardAggregator {
 
   /// Drains every attached ring once and updates per-session state and the
   /// ward.* consumption metrics. Returns items consumed. Safe to call while
-  /// producers are mid-batch (that is the design: the scheduler's caller
-  /// thread drains concurrently with the workers).
+  /// producers are mid-batch (the rings are lock-free), though the fleet
+  /// scheduler drains only at batch barriers.
   std::size_t drain_once();
 
   /// Runs the time-based escalation policy and refreshes the alarms-active
-  /// gauge. Deliberately split from drain_once(): mid-batch drains see
-  /// partial code counts, so notice→urgent decisions only fire here — the
+  /// gauge. Deliberately split from drain_once(): a drain may see partial
+  /// code counts, so notice→urgent decisions only fire here — the
   /// scheduler calls it at batch barriers, after a full drain, which keeps
-  /// escalation (and snapshot bytes) identical across thread counts.
+  /// escalation (and snapshot bytes) identical across shard layouts.
   void settle();
 
   [[nodiscard]] const std::vector<WardSessionState>& sessions() const noexcept {

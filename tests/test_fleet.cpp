@@ -1,5 +1,5 @@
 // Tests for the fleet serving layer (src/fleet/): the determinism contract
-// (parallel fleet == serial fleet == solo sessions, bit for bit), metrics
+// (fleet session == solo session, bit for bit), metrics
 // on/off bit-exactness, session lifecycle including quarantine crash
 // isolation, and the ward aggregator's escalation policy. The Fleet and
 // Ward suites run under the CI TSan job.
@@ -48,14 +48,11 @@ SessionConfig mixed_config(std::size_t index) {
 
 /// Runs a 3-session fleet for `duration_s` and returns the recorded code
 /// stream of every session.
-std::vector<std::vector<std::int16_t>> run_fleet(std::size_t threads,
-                                                 double duration_s) {
+std::vector<std::vector<std::int16_t>> run_fleet(double duration_s) {
   WardConfig ward_config;
   ward_config.record_codes = true;
   WardAggregator ward{ward_config};
-  FleetConfig fleet_config;
-  fleet_config.threads = threads;
-  FleetScheduler scheduler{fleet_config, ward};
+  FleetScheduler scheduler{FleetConfig{}, ward};
   for (std::size_t i = 0; i < 3; ++i) {
     (void)scheduler.admit(mixed_config(i));
   }
@@ -80,18 +77,8 @@ TEST(Fleet, SessionSeedDependsOnlyOnBaseSeedStreamAndIndex) {
   EXPECT_NE(a.session_seed(0), c.session_seed(0));
 }
 
-TEST(Fleet, ParallelIsBitIdenticalToSerial) {
-  const auto serial = run_fleet(1, 1.0);
-  const auto parallel = run_fleet(4, 1.0);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_FALSE(serial[i].empty()) << "session " << i << " produced no codes";
-    EXPECT_EQ(serial[i], parallel[i]) << "session " << i << " diverged";
-  }
-}
-
 TEST(Fleet, FleetSessionIsBitIdenticalToSoloRun) {
-  const auto fleet_codes = run_fleet(1, 1.0);
+  const auto fleet_codes = run_fleet(1.0);
 
   // Reproduce each session solo: same derived seed, same config, same step
   // schedule — the fleet must be invisible to the session.
@@ -111,9 +98,9 @@ TEST(Fleet, FleetSessionIsBitIdenticalToSoloRun) {
 }
 
 TEST(Fleet, MetricsOnOffIsBitExact) {
-  const auto with_metrics = run_fleet(1, 0.5);
+  const auto with_metrics = run_fleet(0.5);
   metrics::set_enabled(false);
-  const auto without_metrics = run_fleet(1, 0.5);
+  const auto without_metrics = run_fleet(0.5);
   metrics::set_enabled(true);
   EXPECT_EQ(with_metrics, without_metrics);
 }
@@ -121,11 +108,10 @@ TEST(Fleet, MetricsOnOffIsBitExact) {
 TEST(Fleet, AdmitRejectsCodeRingSmallerThanOneBatch) {
   WardAggregator ward;
   FleetConfig config;
-  config.threads = 1;
   config.frames_per_step = 64;
   FleetScheduler scheduler{config, ward};
   SessionConfig session;
-  session.code_ring_capacity = 16;  // < frames_per_step: serial deadlock risk
+  session.code_ring_capacity = 16;  // < frames_per_step: a blocking push would wedge
   EXPECT_THROW((void)scheduler.admit(std::move(session)), std::invalid_argument);
 }
 
@@ -162,7 +148,6 @@ TEST(Fleet, SlowHeartAdmitsOnFirstTry) {
 TEST(Fleet, ThrowingSessionIsRetriedThenRetiredNotFatal) {
   WardAggregator ward;
   FleetConfig config;
-  config.threads = 1;
   config.max_readmits = 1;
   FleetScheduler scheduler{config, ward};
   // A calibration window far too short to contain a usable pulse: admission
@@ -194,9 +179,7 @@ TEST(Fleet, ThrowingSessionIsRetriedThenRetiredNotFatal) {
 
 TEST(Fleet, TransientFaultIsReadmittedAndResumesStreaming) {
   WardAggregator ward;
-  FleetConfig config;
-  config.threads = 1;
-  FleetScheduler scheduler{config, ward};
+  FleetScheduler scheduler{FleetConfig{}, ward};
   // A hand-written transient contact loss: throws exactly once (one strike),
   // then applies as a plain signal degradation on the readmission attempt.
   SessionConfig session;
@@ -226,7 +209,6 @@ TEST(Fleet, TransientFaultIsReadmittedAndResumesStreaming) {
 TEST(Fleet, UnrecoverableFaultStrikesOutToRetired) {
   WardAggregator ward;
   FleetConfig config;
-  config.threads = 1;
   config.max_readmits = 2;
   FleetScheduler scheduler{config, ward};
   SessionConfig session;
@@ -272,7 +254,6 @@ FaultPlanConfig faulty_plan() {
 
 struct FaultyRun {
   std::vector<std::vector<std::int16_t>> codes;
-  std::string snapshot;
   std::uint64_t recoveries;
   std::uint64_t checkpoints_written;
   std::uint64_t checkpoints_restored;
@@ -280,13 +261,11 @@ struct FaultyRun {
 };
 
 /// The 3-session mixed fleet with faulty_plan() active on every session.
-FaultyRun run_faulty_fleet(std::size_t threads) {
+FaultyRun run_faulty_fleet() {
   WardConfig ward_config;
   ward_config.record_codes = true;
   WardAggregator ward{ward_config};
-  FleetConfig fleet_config;
-  fleet_config.threads = threads;
-  FleetScheduler scheduler{fleet_config, ward};
+  FleetScheduler scheduler{FleetConfig{}, ward};
   for (std::size_t i = 0; i < 3; ++i) {
     SessionConfig config = mixed_config(i);
     config.fault_plan = faulty_plan();
@@ -297,9 +276,6 @@ FaultyRun run_faulty_fleet(std::size_t threads) {
   for (std::uint32_t id = 0; id < 3; ++id) {
     result.codes.push_back(ward.recorded_codes(id));
   }
-  std::ostringstream os;
-  ward.export_jsonl(os);
-  result.snapshot = os.str();
   result.recoveries = ward.recoveries();
   result.checkpoints_written = scheduler.checkpoints_written();
   result.checkpoints_restored = scheduler.checkpoints_restored();
@@ -307,24 +283,10 @@ FaultyRun run_faulty_fleet(std::size_t threads) {
   return result;
 }
 
-TEST(Fleet, FaultPlanParallelIsBitIdenticalToSerial) {
-  const auto serial = run_faulty_fleet(1);
-  const auto parallel = run_faulty_fleet(4);
-  // Every session hits its transient contact loss and is readmitted.
-  EXPECT_EQ(serial.recoveries, 3u);
-  EXPECT_EQ(parallel.recoveries, 3u);
-  ASSERT_EQ(serial.codes.size(), parallel.codes.size());
-  for (std::size_t i = 0; i < serial.codes.size(); ++i) {
-    ASSERT_FALSE(serial.codes[i].empty()) << "session " << i << " produced no codes";
-    EXPECT_EQ(serial.codes[i], parallel.codes[i]) << "session " << i << " diverged";
-  }
-  // The whole ward snapshot — fault logs, recovery counts, vitals — is
-  // byte-identical across thread counts.
-  EXPECT_EQ(serial.snapshot, parallel.snapshot);
-}
-
 TEST(Fleet, FaultySessionSoloCatchRetryMatchesFleet) {
-  const auto fleet = run_faulty_fleet(1);
+  const auto fleet = run_faulty_fleet();
+  // Every session hits its transient contact loss and is readmitted.
+  EXPECT_EQ(fleet.recoveries, 3u);
   // Every readmission went through the checkpoint path: the quarantined
   // object was dumped to a blob and a fresh session restored from it — and
   // the streams below still match the solo retry-in-place reference, which
@@ -363,13 +325,11 @@ TEST(Fleet, EmptyFaultPlanLeavesStreamsUntouched) {
   // The fault machinery must be invisible until a plan asks for it: a
   // default (empty) plan produces the exact same codes as run_fleet, which
   // never mentions fault plans at all.
-  const auto baseline = run_fleet(1, 0.5);
+  const auto baseline = run_fleet(0.5);
   WardConfig ward_config;
   ward_config.record_codes = true;
   WardAggregator ward{ward_config};
-  FleetConfig fleet_config;
-  fleet_config.threads = 1;
-  FleetScheduler scheduler{fleet_config, ward};
+  FleetScheduler scheduler{FleetConfig{}, ward};
   for (std::size_t i = 0; i < 3; ++i) {
     SessionConfig config = mixed_config(i);
     config.fault_plan = FaultPlanConfig{};  // explicit empty plan
@@ -386,9 +346,7 @@ TEST(Fleet, EmptyFaultPlanLeavesStreamsUntouched) {
 
 TEST(Fleet, LifecyclePauseResumeDischarge) {
   WardAggregator ward;
-  FleetConfig config;
-  config.threads = 1;
-  FleetScheduler scheduler{config, ward};
+  FleetScheduler scheduler{FleetConfig{}, ward};
   const auto id = scheduler.admit(SessionConfig{});
   EXPECT_EQ(scheduler.state(id), SessionState::kAdmitted);
   EXPECT_EQ(scheduler.active_sessions(), 1u);
@@ -529,19 +487,17 @@ struct ChurnRun {
 };
 
 /// The churn schedule on one FleetScheduler, driven batch by batch.
-ChurnRun run_churn_fleet(std::size_t threads, const std::vector<std::int16_t>& feed) {
+ChurnRun run_churn_fleet(const std::vector<std::int16_t>& feed) {
   WardConfig ward_config;
   ward_config.record_codes = true;
   WardAggregator ward{ward_config};
-  FleetConfig fleet_config;
-  fleet_config.threads = threads;
-  FleetScheduler scheduler{fleet_config, ward};
+  FleetScheduler scheduler{FleetConfig{}, ward};
   for (std::uint32_t id = 0; id < kChurnSessions; ++id) {
     (void)scheduler.admit(churn_config(id));
   }
   auto& fallbacks = metrics::Registry::global().counter(metrics::names::kPipelineMuxFallbacks);
   const std::uint64_t fallbacks_before = fallbacks.value();
-  const std::size_t frames = fleet_config.frames_per_step;
+  const std::size_t frames = scheduler.config().frames_per_step;
   std::size_t fed = 0;
   for (std::size_t batch = 0;; ++batch) {
     if (batch == 6) scheduler.pause(kChurnPaused);
@@ -588,10 +544,9 @@ TEST(Fleet, BankedShardUnderChurnMatchesSoloSessions) {
   std::vector<ChurnRun> runs;
   for (const simd::Level level : {simd::Level::kScalar, simd::runtime_level()}) {
     simd::force_active_level(level);  // the scheduler's banks resolve at construction
-    runs.push_back(run_churn_fleet(1, feed));
+    runs.push_back(run_churn_fleet(feed));
     simd::force_active_level(ambient);
   }
-  runs.push_back(run_churn_fleet(3, feed));
   for (const auto& run : runs) {
     EXPECT_EQ(run.restored, 1u) << "the quarantined session resumes as a fresh object";
     EXPECT_GT(run.mux_fallbacks, 0u) << "the re-route ran frames on the scalar fallback";

@@ -363,7 +363,6 @@ std::string run_hospital(std::size_t sessions, std::size_t shards, double durati
                          std::optional<WireKind> wire_kind) {
   fleet::HospitalConfig config;
   config.shards = shards;
-  config.threads_per_shard = 1;
   config.base_seed = 77;
   fleet::HospitalScheduler hospital{config};
   std::unique_ptr<HospitalWire> wire;

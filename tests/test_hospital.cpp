@@ -43,7 +43,9 @@ using fleet::WardSnapshot;
 
 constexpr std::size_t kSessions = 5;  // uneven across 3 shards on purpose
 
-/// Same mix idea as test_fleet: quiet, alarm-worthy, scenario-driven.
+/// Same mix as test_fleet (sessions 0–2 are its 3-session ward, seeds
+/// included): quiet, alarm-worthy, scenario-driven. A 3-shard run steps
+/// them on three threads, so it is also the parallel == serial check.
 SessionConfig mixed_config(std::size_t index) {
   SessionConfig config;
   if (index % 3 == 1) config.wrist.pulse = bio::PatientPresets::hypertensive();
@@ -74,7 +76,6 @@ struct HospitalRun {
 HospitalRun run_hospital(std::size_t shards, double duration_s, bool faults) {
   HospitalConfig config;
   config.shards = shards;
-  config.threads_per_shard = 1;
   config.ward.record_codes = true;
   HospitalScheduler hospital{config};
   for (std::size_t i = 0; i < kSessions; ++i) {
@@ -101,9 +102,7 @@ HospitalRun run_plain_fleet(double duration_s, bool faults) {
   WardConfig ward_config;
   ward_config.record_codes = true;
   WardAggregator ward{ward_config};
-  FleetConfig fleet_config;
-  fleet_config.threads = 1;
-  FleetScheduler scheduler{fleet_config, ward};
+  FleetScheduler scheduler{FleetConfig{}, ward};
   for (std::size_t i = 0; i < kSessions; ++i) {
     SessionConfig session = mixed_config(i);
     if (faults) session.fault_plan = faulty_plan();
@@ -161,6 +160,18 @@ TEST(Hospital, RejectsZeroShards) {
   HospitalConfig config;
   config.shards = 0;
   EXPECT_THROW(HospitalScheduler{config}, std::invalid_argument);
+}
+
+TEST(Hospital, RejectsThreadsPerShardOtherThanOne) {
+  // A shard is one thread; parallelism comes from more shards.
+  HospitalConfig config;
+  EXPECT_EQ(config.threads_per_shard, 1u);
+  for (const std::size_t threads : {0u, 2u, 4u}) {
+    config.threads_per_shard = threads;
+    EXPECT_THROW(HospitalScheduler{config}, std::invalid_argument) << threads;
+  }
+  config.threads_per_shard = 1;
+  EXPECT_NO_THROW(HospitalScheduler{config});
 }
 
 TEST(Hospital, ShardedIsBitIdenticalToUnshardedAndPlainFleet) {
@@ -223,7 +234,6 @@ TEST(Hospital, FaultPlanRecoveryIsBitIdenticalAcrossShardLayoutsAndSolo) {
 TEST(Hospital, SessionsSurviveShardsOutnumberingThem) {
   HospitalConfig config;
   config.shards = 4;
-  config.threads_per_shard = 1;
   HospitalScheduler hospital{config};
   (void)hospital.admit(SessionConfig{});
   (void)hospital.admit(SessionConfig{});
@@ -239,7 +249,6 @@ TEST(Hospital, SessionsSurviveShardsOutnumberingThem) {
 TEST(Hospital, LiveStatsMatchSnapshotAtQuiescence) {
   HospitalConfig config;
   config.shards = 2;
-  config.threads_per_shard = 1;
   HospitalScheduler hospital{config};
   for (std::size_t i = 0; i < 3; ++i) (void)hospital.admit(mixed_config(i));
   hospital.run(0.3);
@@ -261,7 +270,6 @@ TEST(Hospital, AsyncEpochSnapshotsLandOnDiskShardCountInvariant) {
        std::vector<std::pair<std::size_t, std::string>>{{3, path3}, {1, path1}}) {
     HospitalConfig config;
     config.shards = shards;
-    config.threads_per_shard = 1;
     config.snapshot_path = path;
     config.snapshot_every_epochs = 1;
     HospitalScheduler hospital{config};
@@ -295,7 +303,6 @@ TEST(Hospital, CheckpointResumeMatchesContinuingTheSameProcess) {
   auto make_config = [&](const std::string& checkpoint_path) {
     HospitalConfig config;
     config.shards = 2;
-    config.threads_per_shard = 1;
     config.ward.record_codes = true;
     config.checkpoint_path = checkpoint_path;
     return config;
@@ -346,7 +353,6 @@ TEST(Hospital, CheckpointRestoreRejectsMismatchAndMissingFileIsFreshStart) {
   auto make = [&](std::size_t shards, std::size_t sessions) {
     HospitalConfig config;
     config.shards = shards;
-    config.threads_per_shard = 1;
     config.checkpoint_path = path;
     auto hospital = std::make_unique<HospitalScheduler>(config);
     for (std::size_t i = 0; i < sessions; ++i) {
@@ -362,8 +368,16 @@ TEST(Hospital, CheckpointRestoreRejectsMismatchAndMissingFileIsFreshStart) {
     EXPECT_GE(fresh->checkpoints_saved(), 1u);
   }
   // Wrong shard count and wrong admission count both fail loudly instead of
-  // silently restarting the ward from zero.
-  EXPECT_THROW((void)make(3, 3)->try_restore_checkpoint(), CheckpointError);
+  // silently restarting the ward from zero. The shard-count error names
+  // both counts, since --shards defaults to the host's core count.
+  try {
+    (void)make(3, 3)->try_restore_checkpoint();
+    ADD_FAILURE() << "a 3-shard hospital restored a 2-shard checkpoint";
+  } catch (const CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("has 2 shards"), std::string::npos) << what;
+    EXPECT_NE(what.find("has 3 (pass --shards 2)"), std::string::npos) << what;
+  }
   EXPECT_THROW((void)make(2, 2)->try_restore_checkpoint(), CheckpointError);
   {
     // A matching hospital restores fine from the same file.

@@ -180,7 +180,6 @@ std::map<std::uint32_t, std::vector<std::int16_t>> run_hospital(
   constexpr std::size_t kSessions = 2;
   fleet::HospitalConfig config;
   config.shards = 1;
-  config.threads_per_shard = 1;
   config.base_seed = 909;
   fleet::HospitalScheduler hospital{config};
   HospitalWireConfig wire_config;
