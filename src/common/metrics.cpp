@@ -249,7 +249,7 @@ void register_standard_instruments(Registry& r) {
         kFleetRecoveries, kFleetRetired, kFleetFaultsInjected,
         kWardCodesConsumed, kWardEventsConsumed, kWardEscalations,
         kHospitalEpochs, kHospitalSnapshotsWritten, kHospitalSnapshotsSkipped,
-        kShardMirrorPublishes, kGatewayFramesMuxed, kGatewayFramesDemuxed,
+        kGatewayFramesMuxed, kGatewayFramesDemuxed,
         kGatewayBytesSent, kGatewayBytesReceived, kGatewayBackpressureBlocks,
         kGatewayEnvelopesDropped, kGatewayCodesDropped, kGatewayCrcErrors,
         kGatewayResyncs, kGatewayLostEnvelopes, kGatewayRecorderBytes,
@@ -260,10 +260,9 @@ void register_standard_instruments(Registry& r) {
   for (const char* name :
        {kModulatorPeakState1V, kModulatorPeakState2V, kModulatorClipCount,
         kSweepThreads, kPoolPeakQueueDepth, kPoolQueueDepth,
-        kMonitorLastSqi, kMonitorAlarmLatencyS, kFleetSessionsActive,
+        kMonitorAlarmLatencyS, kFleetSessionsActive,
         kWardAlarmsActive, kHospitalShardsActive,
-        kHospitalCodesConsumed, kHospitalAlarmsActive, kGatewayChannels,
-        kGatewayReplaySpeedup, kValidationLastSysBias, kValidationLastSysSd}) {
+        kHospitalCodesConsumed, kHospitalAlarmsActive, kGatewayReplaySpeedup}) {
     (void)r.gauge(name);
   }
   r.gauge(kProcessSimdWidth)

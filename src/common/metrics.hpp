@@ -227,7 +227,6 @@ inline constexpr const char* kMonitorSessions = "monitor.sessions";
 inline constexpr const char* kMonitorBeats = "monitor.beats";
 inline constexpr const char* kMonitorQualityRejections = "monitor.quality_rejections";
 inline constexpr const char* kMonitorRescans = "monitor.rescans";
-inline constexpr const char* kMonitorLastSqi = "monitor.last_sqi";
 inline constexpr const char* kMonitorSessionWall = "monitor.session_wall";
 inline constexpr const char* kMonitorAlarmsRaised = "monitor.alarms_raised";
 inline constexpr const char* kMonitorAlarmLatencyS = "monitor.alarm_latency_s";
@@ -252,8 +251,8 @@ inline constexpr const char* kWardCodesConsumed = "ward.codes_consumed";
 inline constexpr const char* kWardEventsConsumed = "ward.events_consumed";
 inline constexpr const char* kWardAlarmsActive = "ward.alarms_active";
 inline constexpr const char* kWardEscalations = "ward.escalations";
-// Hospital sharding layer (HospitalScheduler / AggregationTree /
-// AsyncSnapshotWriter; see docs/FLEET.md "Sharding")
+// Hospital sharding layer (HospitalScheduler / AsyncSnapshotWriter; see
+// docs/FLEET.md "Sharding")
 inline constexpr const char* kHospitalEpochs = "hospital.epochs";
 inline constexpr const char* kHospitalSnapshotsWritten = "hospital.snapshots_written";
 inline constexpr const char* kHospitalSnapshotsSkipped = "hospital.snapshots_skipped";
@@ -261,7 +260,6 @@ inline constexpr const char* kHospitalShardsActive = "hospital.shards_active";
 inline constexpr const char* kHospitalCodesConsumed = "hospital.codes_consumed";
 inline constexpr const char* kHospitalAlarmsActive = "hospital.alarms_active";
 inline constexpr const char* kHospitalSnapshotWall = "hospital.snapshot_wall";
-inline constexpr const char* kShardMirrorPublishes = "shard.mirror_publishes";
 inline constexpr const char* kShardEpochWall = "shard.epoch_wall";
 // Streaming gateway (GatewayMux/GatewayDemux/SessionRecorder/SessionReplayer;
 // see docs/GATEWAY.md)
@@ -275,7 +273,6 @@ inline constexpr const char* kGatewayCodesDropped = "gateway.codes_dropped";
 inline constexpr const char* kGatewayCrcErrors = "gateway.crc_errors";
 inline constexpr const char* kGatewayResyncs = "gateway.resyncs";
 inline constexpr const char* kGatewayLostEnvelopes = "gateway.lost_envelopes";
-inline constexpr const char* kGatewayChannels = "gateway.channels";
 inline constexpr const char* kGatewayRecorderBytes = "gateway.recorder_bytes";
 inline constexpr const char* kGatewayReplaySpeedup = "gateway.replay_speedup";
 // Validation harness (SessionValidator / validation_report; see
@@ -285,8 +282,6 @@ inline constexpr const char* kValidationBeatsMatched = "validation.beats_matched
 inline constexpr const char* kValidationBeatsUnmatched = "validation.beats_unmatched";
 inline constexpr const char* kValidationAamiPass = "validation.aami_pass";
 inline constexpr const char* kValidationAamiFail = "validation.aami_fail";
-inline constexpr const char* kValidationLastSysBias = "validation.last_sys_bias_mmhg";
-inline constexpr const char* kValidationLastSysSd = "validation.last_sys_sd_mmhg";
 }  // namespace names
 
 /// Pre-registers the full canonical instrument set in `r` (all zero until

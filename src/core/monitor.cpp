@@ -86,7 +86,6 @@ BloodPressureMonitor::BloodPressureMonitor(const ChipConfig& chip, const WristMo
   beats_metric_ = &reg.counter(metrics::names::kMonitorBeats);
   quality_rejections_metric_ = &reg.counter(metrics::names::kMonitorQualityRejections);
   rescans_metric_ = &reg.counter(metrics::names::kMonitorRescans);
-  last_sqi_gauge_ = &reg.gauge(metrics::names::kMonitorLastSqi);
   session_wall_ = &reg.timer(metrics::names::kMonitorSessionWall);
 }
 
@@ -246,7 +245,6 @@ MonitoringReport BloodPressureMonitor::monitor(double duration_s) {
   report.quality = SignalQualityAssessor{}.assess(report.waveform_mmhg, report.beats, fs_out);
   for (auto& beat : report.beats.beats) beat = beat.shifted(t_start);
   beats_metric_->add(report.beats.beats.size());
-  last_sqi_gauge_->set(report.quality.sqi);
   report.pulse_wave =
       PulseWaveAnalyzer{fs_out}.analyze(report.waveform_mmhg, report.beats, t_start);
 

@@ -200,7 +200,6 @@ class BloodPressureMonitor {
   metrics::Counter* beats_metric_;
   metrics::Counter* quality_rejections_metric_;
   metrics::Counter* rescans_metric_;
-  metrics::Gauge* last_sqi_gauge_;
   metrics::Timer* session_wall_;
 };
 

@@ -280,8 +280,6 @@ SessionValidationRecord SessionValidator::finalize(std::uint32_t session_id,
   } else if (verdict == AamiVerdict::kFail) {
     reg.counter(metrics::names::kValidationAamiFail).add(1);
   }
-  reg.gauge(metrics::names::kValidationLastSysBias).set(rec.sys_error.mean_error_mmhg());
-  reg.gauge(metrics::names::kValidationLastSysSd).set(rec.sys_error.error_sd_mmhg());
   return rec;
 }
 

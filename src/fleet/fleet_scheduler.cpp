@@ -52,8 +52,8 @@ std::uint32_t FleetScheduler::admit(SessionConfig config, std::string label) {
       config_.session_id_offset + index * config_.session_id_stride);
   if (config.seed == 0) config.seed = session_seed(id);
   if (config.code_ring_capacity < config_.frames_per_step) {
-    // Nothing drains mid-batch; a ring smaller than one batch would wedge
-    // a blocking push forever.
+    // Nothing drains mid-batch; a ring smaller than one batch would shed
+    // codes (drop-oldest) or regrow (block) on every batch.
     throw std::invalid_argument{
         "FleetScheduler: code ring capacity must cover one batch "
         "(frames_per_step)"};

@@ -6,11 +6,10 @@
 // runs all the sessions' ΔΣ modulators as lanes of one ModulatorBank (lane
 // == solo, so this changes scheduling only). Parallelism lives one layer up:
 // a HospitalScheduler gives each shard its own FleetScheduler and driver
-// thread. Nothing drains the rings mid-batch, so a blocking ring must hold
-// one whole batch: admission rejects a code ring smaller than
-// frames_per_step, and a kBlock event ring must hold one batch's events,
-// which nothing checks (a session emits a few events per second of stream,
-// far below the default capacity).
+// thread. Nothing drains the rings mid-batch, so a ring should hold one
+// whole batch: admission rejects a code ring smaller than frames_per_step.
+// A kBlock ring that still fills grows instead of waiting (ring_buffer.hpp),
+// so a burst of events costs a reallocation, never a lost event or a hang.
 //
 // Determinism reuses the SweepRunner pattern: session i's seed derives from
 // (base_seed, stream_name, admission index) alone, every session owns all
@@ -92,7 +91,7 @@ class FleetScheduler {
   /// first batch step, so it quarantines like a step.
   /// Throws std::invalid_argument if the code ring cannot hold one batch
   /// (frames_per_step): nothing drains mid-batch, so a smaller ring would
-  /// wedge a blocking push.
+  /// shed or regrow on every batch.
   std::uint32_t admit(SessionConfig config, std::string label = "");
 
   void pause(std::uint32_t id);

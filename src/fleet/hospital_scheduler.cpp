@@ -10,7 +10,7 @@
 namespace tono::fleet {
 
 HospitalScheduler::HospitalScheduler(HospitalConfig config)
-    : config_(std::move(config)), tree_(config_.shards) {
+    : config_(std::move(config)) {
   if (config_.shards == 0) {
     throw std::invalid_argument{"HospitalScheduler: shards must be >= 1"};
   }
@@ -42,7 +42,6 @@ HospitalScheduler::HospitalScheduler(HospitalConfig config)
   }
   auto& reg = metrics::Registry::global();
   epochs_metric_ = &reg.counter(metrics::names::kHospitalEpochs);
-  publishes_metric_ = &reg.counter(metrics::names::kShardMirrorPublishes);
   shards_active_gauge_ = &reg.gauge(metrics::names::kHospitalShardsActive);
   codes_gauge_ = &reg.gauge(metrics::names::kHospitalCodesConsumed);
   alarms_gauge_ = &reg.gauge(metrics::names::kHospitalAlarmsActive);
@@ -170,36 +169,24 @@ bool HospitalScheduler::try_restore_checkpoint() {
   return true;
 }
 
-void HospitalScheduler::publish_shard_(std::size_t s) {
-  const Shard& shard = shards_[s];
-  const WardAggregator& ward = *shard.ward;
-  ShardStats stats;
-  stats[kShardCodes] = ward.codes_consumed();
-  stats[kShardEvents] = ward.events_consumed();
-  const std::uint64_t event_drops = ward.event_drops();
-  stats[kShardCodeDrops] = ward.total_drops() - event_drops;
-  stats[kShardEventDrops] = event_drops;
-  stats[kShardBlocks] = ward.total_blocks();
-  stats[kShardAlarmsActive] = ward.alarms_active();
-  stats[kShardEscalations] = ward.escalations();
-  stats[kShardRecoveries] = ward.recoveries();
-  stats[kShardRetired] = ward.retired();
-  stats[kShardActiveSessions] = shard.scheduler->active_sessions();
-  stats[kShardBatches] = shard.scheduler->batches();
-  tree_.publish(s, stats);
-  publishes_metric_->add(1);
+void HospitalScheduler::set_totals_() {
+  std::uint64_t codes = 0;
+  std::uint64_t alarms = 0;
+  for (const auto& shard : shards_) {
+    codes += shard.ward->codes_consumed();
+    alarms += shard.ward->alarms_active();
+  }
+  codes_gauge_->set(static_cast<double>(codes));
+  alarms_gauge_->set(static_cast<double>(alarms));
 }
 
 void HospitalScheduler::on_epoch_() {
   // Runs on exactly one driver thread per phase with every other shard
   // parked at the barrier (or permanently done) — the quiescence point
-  // where merged reads are exact. Phases are sequential, satisfying
-  // reduce()'s single-reader contract.
+  // where reading the wards directly is exact.
   const std::uint64_t epoch = epochs_.fetch_add(1, std::memory_order_relaxed) + 1;
   epochs_metric_->add(1);
-  const ShardStats& total = tree_.reduce();
-  codes_gauge_->set(static_cast<double>(total[kShardCodes]));
-  alarms_gauge_->set(static_cast<double>(total[kShardAlarmsActive]));
+  set_totals_();
   shards_active_gauge_->set(
       static_cast<double>(live_shards_.load(std::memory_order_relaxed)));
   if (writer_ && config_.snapshot_every_epochs > 0 &&
@@ -242,7 +229,6 @@ void HospitalScheduler::shard_loop_(std::size_t s, double until_s,
       (void)shard.ward->drain_once();
       shard.ward->settle();
     }
-    publish_shard_(s);
     if (done) {
       live_shards_.fetch_sub(1, std::memory_order_relaxed);
       epoch.arrive_and_drop();
@@ -264,10 +250,8 @@ void HospitalScheduler::run(double duration_s) {
         [this, s, duration_s, &epoch] { shard_loop_(s, duration_s, epoch); });
   }
   for (auto& driver : drivers) driver.join();
-  // Every shard joined: the roll-up below is exact, not merely field-exact.
-  const ShardStats& total = tree_.reduce();
-  codes_gauge_->set(static_cast<double>(total[kShardCodes]));
-  alarms_gauge_->set(static_cast<double>(total[kShardAlarmsActive]));
+  // Every shard joined: the wards are quiescent.
+  set_totals_();
   shards_active_gauge_->set(0.0);
   if (writer_) {
     writer_->submit(merge_snapshot_());

@@ -9,10 +9,10 @@
 // path: a shard is one thread. Shards only meet at *epoch* boundaries (every
 // `epoch_batches` batches), where a std::barrier completion step aggregates
 // telemetry and hands snapshots to the async writer. Between epochs the
-// shards share nothing mutable — the cross-shard roll-up flows through the
-// lock-free AggregationTree mirrors (aggregation_tree.hpp), and JSONL
-// serialization runs on the AsyncSnapshotWriter thread (snapshot_writer.hpp)
-// so it never stalls a barrier.
+// shards share nothing mutable: the cross-shard roll-up reads the wards
+// directly while every shard is parked, and JSONL serialization runs on the
+// AsyncSnapshotWriter thread (snapshot_writer.hpp) so it never stalls a
+// barrier.
 //
 // Determinism contract (docs/FLEET.md "Sharding"): shard assignment is a
 // pure function of session id — `id % shards` — and session ids equal
@@ -25,10 +25,9 @@
 // retire timing (PR 5) is preserved; merged snapshots re-sort sessions by
 // global id and are byte-identical across shard counts.
 //
-// Threading contract: construct, admit() every session, then run(); admit
-// and the exact accessors (snapshot/export_jsonl) must not race run().
-// stats() is the exception — it reads the lock-free mirrors and is safe
-// (and approximate, field-exact) at any time.
+// Threading contract: construct, admit() every session, then run(). No
+// accessor may race run(): admit, the per-session lookups and the exact
+// reads (snapshot/export_jsonl/checkpoint) belong before or after it.
 #pragma once
 
 #include <atomic>
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "src/common/metrics.hpp"
-#include "src/fleet/aggregation_tree.hpp"
 #include "src/fleet/fleet_scheduler.hpp"
 #include "src/fleet/snapshot_writer.hpp"
 #include "src/fleet/ward_aggregator.hpp"
@@ -107,8 +105,8 @@ class HospitalScheduler {
   std::uint32_t admit(SessionConfig config, std::string label = "");
 
   /// Runs every shard to `duration_s` of per-session stream time on its own
-  /// driver thread, epoch-synchronized; drains, settles and publishes each
-  /// shard before it parks. When snapshot_path is set, hands the writer a
+  /// driver thread, epoch-synchronized; drains and settles each shard when
+  /// it finishes. When snapshot_path is set, hands the writer a
   /// final exact snapshot and flushes before returning.
   void run(double duration_s);
 
@@ -130,10 +128,6 @@ class HospitalScheduler {
   /// Byte-compatible with a single ward's snapshot: shard-count-invariant.
   [[nodiscard]] WardSnapshot snapshot() const;
   void export_jsonl(std::ostream& os) const;
-
-  /// Live lock-free roll-up of the shard mirrors; callable any time, from
-  /// any thread. Field-exact, cross-field cut may lag one batch per shard.
-  [[nodiscard]] ShardStats stats() const noexcept { return tree_.sum(); }
 
   [[nodiscard]] std::uint64_t epochs() const noexcept {
     return epochs_.load(std::memory_order_relaxed);
@@ -183,13 +177,13 @@ class HospitalScheduler {
   };
 
   void shard_loop_(std::size_t s, double until_s, std::barrier<EpochTick>& epoch);
-  void publish_shard_(std::size_t s);
+  /// Sets the hospital codes/alarms gauges from the wards; quiescent only.
+  void set_totals_();
   void on_epoch_();
   [[nodiscard]] WardSnapshot merge_snapshot_() const;
 
   HospitalConfig config_;
   std::vector<Shard> shards_;
-  AggregationTree tree_;
   std::unique_ptr<AsyncSnapshotWriter> writer_;  ///< null without snapshot_path
   std::size_t admitted_{0};
   std::uint64_t checkpoints_saved_{0};
@@ -197,7 +191,6 @@ class HospitalScheduler {
   std::atomic<std::size_t> live_shards_{0};
   // Observability (resolved once at construction).
   metrics::Counter* epochs_metric_;
-  metrics::Counter* publishes_metric_;
   metrics::Gauge* shards_active_gauge_;
   metrics::Gauge* codes_gauge_;
   metrics::Gauge* alarms_gauge_;

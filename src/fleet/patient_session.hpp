@@ -109,8 +109,8 @@ struct SessionConfig {
   bool enforce_quality{true};
   /// Ring capacities (rounded up to powers of two) and policies. Nothing
   /// drains mid-batch, so the codes capacity must cover the scheduler's
-  /// frames_per_step (checked at admission) and a kBlock events ring one
-  /// batch's events (not checked), or a push could block forever.
+  /// frames_per_step (checked at admission); a kBlock ring that fills
+  /// anyway grows rather than losing an item.
   std::size_t code_ring_capacity{4096};
   std::size_t event_ring_capacity{256};
   BackpressurePolicy code_policy{BackpressurePolicy::kDropOldest};

@@ -13,9 +13,9 @@
 //               kinds active at once (multi-vital deterioration).
 //
 // Threading contract: drain_once(), attach(), lifecycle updates and
-// snapshots all run on ONE thread (the scheduler's caller). Producers touch
-// only the rings, so the aggregator never reads session objects while
-// they step. Consumption totals are mirrored into the global
+// snapshots all run on ONE thread — the shard's thread, which also steps
+// the sessions that fill the rings. The aggregator reads only the rings,
+// never session objects. Consumption totals are mirrored into the global
 // metrics registry (ward.* / fleet.ring_* instruments).
 #pragma once
 
@@ -137,9 +137,9 @@ class WardAggregator {
   void note_fault(std::uint32_t session_id, std::string entry);
 
   /// Drains every attached ring once and updates per-session state and the
-  /// ward.* consumption metrics. Returns items consumed. Safe to call while
-  /// producers are mid-batch (the rings are lock-free), though the fleet
-  /// scheduler drains only at batch barriers.
+  /// ward.* consumption metrics. Returns items consumed. The fleet
+  /// scheduler drains only at batch barriers, on the thread that steps the
+  /// producers.
   std::size_t drain_once();
 
   /// Runs the time-based escalation policy and refreshes the alarms-active

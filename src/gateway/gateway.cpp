@@ -102,7 +102,6 @@ void GatewayMux::ship_(Channel& channel, std::uint32_t channel_id,
 }
 
 void GatewayMux::send(std::uint32_t channel_id, std::span<const std::int16_t> codes) {
-  std::lock_guard<std::mutex> lock{mutex_};
   const auto it = channels_.find(channel_id);
   if (it == channels_.end()) {
     throw std::out_of_range{"GatewayMux: channel not opened"};
@@ -119,7 +118,6 @@ void GatewayMux::send(std::uint32_t channel_id, std::span<const std::int16_t> co
 void GatewayMux::send_encoded(std::uint32_t channel_id,
                               std::span<const std::uint8_t> frame,
                               std::uint16_t n_codes) {
-  std::lock_guard<std::mutex> lock{mutex_};
   const auto it = channels_.find(channel_id);
   if (it == channels_.end()) {
     throw std::out_of_range{"GatewayMux: channel not opened"};
@@ -134,12 +132,10 @@ GatewayDemux::GatewayDemux(Transport& transport) : transport_(transport) {
   crc_errors_metric_ = &reg.counter(metrics::names::kGatewayCrcErrors);
   resyncs_metric_ = &reg.counter(metrics::names::kGatewayResyncs);
   lost_envelopes_metric_ = &reg.counter(metrics::names::kGatewayLostEnvelopes);
-  channels_gauge_ = &reg.gauge(metrics::names::kGatewayChannels);
 }
 
 void GatewayDemux::open_channel(std::uint32_t channel_id) {
   channels_.try_emplace(channel_id);
-  channels_gauge_->set(static_cast<double>(channels_.size()));
 }
 
 const ChannelStats& GatewayDemux::channel_stats(std::uint32_t channel_id) const {

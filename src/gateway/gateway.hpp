@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -66,11 +65,9 @@ struct GatewayConfig {
 
 /// Sensor-side end: frames codes per channel and ships envelopes.
 ///
-/// Threading: open_channel() for every session first (not thread-safe
-/// against send); send()/send_encoded() are then safe from concurrent
-/// worker threads — one mutex serializes envelope construction and
-/// transport pushes, which also keeps the per-run envelope order
-/// well-defined on the loopback queue.
+/// Threading: single-threaded. A mux belongs to one shard and is called
+/// only from that shard's thread, so envelopes leave in one well-defined
+/// order; the transport behind it is the thread boundary.
 class GatewayMux {
  public:
   explicit GatewayMux(Transport& transport, GatewayConfig config = {});
@@ -112,7 +109,6 @@ class GatewayMux {
 
   Transport& transport_;
   GatewayConfig config_;
-  std::mutex mutex_;
   std::map<std::uint32_t, Channel> channels_;
   std::uint64_t frames_muxed_{0};
   std::uint64_t codes_sent_{0};
@@ -213,7 +209,6 @@ class GatewayDemux {
   metrics::Counter* crc_errors_metric_;
   metrics::Counter* resyncs_metric_;
   metrics::Counter* lost_envelopes_metric_;
-  metrics::Gauge* channels_gauge_;
 };
 
 }  // namespace tono::gateway

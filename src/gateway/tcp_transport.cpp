@@ -137,9 +137,8 @@ void TcpTransport::reader_loop_() {
 }
 
 bool TcpTransport::try_send(std::span<const std::uint8_t> chunk) {
-  // One mutex serializes whole envelopes onto the stream — sessions on
-  // different worker threads must never interleave bytes mid-envelope.
-  std::lock_guard<std::mutex> lock{send_mutex_};
+  // Only the owning shard's mux sends, so whole envelopes go out in order
+  // without a lock.
   std::size_t sent = 0;
   while (sent < chunk.size()) {
     const ssize_t n = ::send(fd_, chunk.data() + sent, chunk.size() - sent,

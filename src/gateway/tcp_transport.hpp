@@ -94,8 +94,7 @@ class TcpTransport final : public Transport {
   void reader_loop_();
 
   int fd_;
-  std::mutex send_mutex_;           ///< envelopes from many sessions interleave whole
-  mutable std::mutex recv_mutex_;   ///< guards inbox_ against the reader thread
+  mutable std::mutex recv_mutex_;  ///< guards inbox_ against the reader thread
   std::vector<std::uint8_t> inbox_;
   std::thread reader_;
   std::atomic<bool> peer_closed_{false};

@@ -111,7 +111,7 @@ TEST(Fleet, AdmitRejectsCodeRingSmallerThanOneBatch) {
   config.frames_per_step = 64;
   FleetScheduler scheduler{config, ward};
   SessionConfig session;
-  session.code_ring_capacity = 16;  // < frames_per_step: a blocking push would wedge
+  session.code_ring_capacity = 16;  // < frames_per_step: every batch would shed or regrow
   EXPECT_THROW((void)scheduler.admit(std::move(session)), std::invalid_argument);
 }
 

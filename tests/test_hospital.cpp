@@ -1,31 +1,27 @@
 // Hospital sharding tests (src/fleet/hospital_scheduler.hpp and friends):
 // the determinism contract (sharded == unsharded == plain fleet == solo,
-// snapshot bytes included, fault plans active), the lock-free aggregation
-// tree, and the double-buffered async snapshot writer. The Hospital /
-// Aggregation / Snapshot suites run under the CI TSan job.
+// snapshot bytes included, fault plans active), the totals gauges, and the
+// double-buffered async snapshot writer. The Hospital / Snapshot suites run
+// under the CI TSan job.
 #include "src/fleet/hospital_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/bio/pulse_generator.hpp"
 #include "src/common/checkpoint.hpp"
-#include "src/fleet/aggregation_tree.hpp"
 #include "src/fleet/snapshot_writer.hpp"
 
 namespace {
 
 using namespace tono;
-using fleet::AggregationTree;
 using fleet::AsyncSnapshotWriter;
 using fleet::FaultPlanConfig;
 using fleet::FleetConfig;
@@ -35,7 +31,6 @@ using fleet::HospitalScheduler;
 using fleet::PatientSession;
 using fleet::SessionConfig;
 using fleet::SessionState;
-using fleet::ShardStats;
 using fleet::WardAggregator;
 using fleet::WardConfig;
 using fleet::WardSessionState;
@@ -246,20 +241,28 @@ TEST(Hospital, SessionsSurviveShardsOutnumberingThem) {
   EXPECT_GE(hospital.epochs(), 1u);
 }
 
-TEST(Hospital, LiveStatsMatchSnapshotAtQuiescence) {
-  HospitalConfig config;
-  config.shards = 2;
-  HospitalScheduler hospital{config};
-  for (std::size_t i = 0; i < 3; ++i) (void)hospital.admit(mixed_config(i));
-  hospital.run(0.3);
-  const WardSnapshot snap = hospital.snapshot();
-  const ShardStats stats = hospital.stats();
-  EXPECT_EQ(stats[fleet::kShardCodes], snap.codes_consumed);
-  EXPECT_EQ(stats[fleet::kShardEvents], snap.events_consumed);
-  EXPECT_EQ(stats[fleet::kShardEventDrops], snap.event_drops);
-  EXPECT_EQ(stats[fleet::kShardAlarmsActive], snap.alarms_active);
-  EXPECT_EQ(stats[fleet::kShardRecoveries], snap.recoveries);
-  EXPECT_EQ(stats[fleet::kShardActiveSessions], 3u);
+// The hospital totals gauges are summed from the parked wards at the end of
+// run(): they must equal the merged snapshot's totals at any shard count.
+TEST(Hospital, TotalsGaugesMatchMergedSnapshotAfterRun) {
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  auto& reg = metrics::Registry::global();
+  for (const std::size_t shards : {1u, 3u}) {
+    HospitalConfig config;
+    config.shards = shards;
+    HospitalScheduler hospital{config};
+    for (std::size_t i = 0; i < kSessions; ++i) (void)hospital.admit(mixed_config(i));
+    hospital.run(0.3);
+    const WardSnapshot snap = hospital.snapshot();
+    EXPECT_GT(snap.codes_consumed, 0u);
+    EXPECT_EQ(reg.gauge(metrics::names::kHospitalCodesConsumed).value(),
+              static_cast<double>(snap.codes_consumed))
+        << shards << " shard(s)";
+    EXPECT_EQ(reg.gauge(metrics::names::kHospitalAlarmsActive).value(),
+              static_cast<double>(snap.alarms_active))
+        << shards << " shard(s)";
+  }
+  metrics::set_enabled(was_enabled);
 }
 
 TEST(Hospital, AsyncEpochSnapshotsLandOnDiskShardCountInvariant) {
@@ -392,78 +395,6 @@ TEST(Hospital, CheckpointRestoreRejectsMismatchAndMissingFileIsFreshStart) {
   }
   EXPECT_THROW((void)make(2, 3)->try_restore_checkpoint(), CheckpointError);
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// AggregationTree
-
-ShardStats stats_with(std::uint64_t base) {
-  ShardStats s;
-  for (std::size_t f = 0; f < fleet::kShardFieldCount; ++f) {
-    s[f] = base + f;
-  }
-  return s;
-}
-
-TEST(Aggregation, ReduceMatchesLinearSumAcrossIncrementalPublishes) {
-  AggregationTree tree{5};  // non-power-of-two: exercises padding leaves
-  EXPECT_EQ(tree.leaf_count(), 5u);
-  for (std::uint64_t round = 1; round <= 4; ++round) {
-    for (std::size_t leaf = 0; leaf < 5; ++leaf) {
-      if ((leaf + round) % 2 == 0) continue;  // partial publishes per round
-      tree.publish(leaf, stats_with(round * 100 + leaf));
-    }
-    const ShardStats cached = tree.reduce();
-    const ShardStats linear = tree.sum();
-    for (std::size_t f = 0; f < fleet::kShardFieldCount; ++f) {
-      EXPECT_EQ(cached[f], linear[f]) << "field " << f << " round " << round;
-    }
-  }
-}
-
-TEST(Aggregation, RepublishingOneLeafOnlyChangesItsContribution) {
-  AggregationTree tree{4};
-  for (std::size_t leaf = 0; leaf < 4; ++leaf) tree.publish(leaf, stats_with(10));
-  const std::uint64_t before = tree.reduce()[fleet::kShardCodes];
-  ShardStats update = stats_with(10);
-  update[fleet::kShardCodes] += 7;
-  tree.publish(2, update);
-  EXPECT_EQ(tree.reduce()[fleet::kShardCodes], before + 7);
-}
-
-// Concurrent single-writer-per-leaf publishes with a live lock-free reader —
-// the hospital's steady state, under TSan in CI.
-TEST(Aggregation, ConcurrentPublishersAndLiveReaderAreRaceFree) {
-  constexpr std::size_t kLeaves = 4;
-  constexpr std::uint64_t kRounds = 2000;
-  AggregationTree tree{kLeaves};
-  std::atomic<bool> stop{false};
-  std::thread reader{[&] {
-    std::uint64_t last = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const ShardStats live = tree.sum();
-      // Per-field monotonicity: every publisher only increases its value.
-      EXPECT_GE(live[fleet::kShardCodes], last);
-      last = live[fleet::kShardCodes];
-    }
-  }};
-  std::vector<std::thread> publishers;
-  for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
-    publishers.emplace_back([&tree, leaf] {
-      for (std::uint64_t round = 1; round <= kRounds; ++round) {
-        ShardStats s;
-        s[fleet::kShardCodes] = round;
-        s[fleet::kShardBatches] = round;
-        tree.publish(leaf, s);
-      }
-    });
-  }
-  for (auto& t : publishers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  const ShardStats total = tree.reduce();
-  EXPECT_EQ(total[fleet::kShardCodes], kLeaves * kRounds);
-  EXPECT_EQ(total[fleet::kShardBatches], kLeaves * kRounds);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,11 @@
-// Tests for the bounded lock-free ring buffer (src/common/ring_buffer.hpp):
-// FIFO semantics, both backpressure policies with exact loss accounting, and
-// an SPSC stress test that the CI TSan job runs to prove the drop-oldest
-// reclaim path (producer contending the dequeue cursor) is race-free.
+// Tests for the bounded single-threaded ring buffer
+// (src/common/ring_buffer.hpp): FIFO semantics, both backpressure policies
+// with exact loss accounting, and checkpoint restore validation.
 #include "src/common/ring_buffer.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 namespace {
@@ -95,74 +90,19 @@ TEST(RingBuffer, PopAllHonorsMaxItems) {
   EXPECT_EQ(out.size(), 10u);
 }
 
-// SPSC stress, blocking policy: a tiny ring, a producer that must not lose
-// anything, a concurrent consumer. Every item arrives exactly once, in
-// order. This test runs under the CI TSan job.
-TEST(RingBuffer, BlockingSpscStressIsLossless) {
-  RingBuffer<std::uint32_t> ring{8};
-  const std::uint32_t total = 50000;
-
-  std::vector<std::uint32_t> received;
-  received.reserve(total);
-  std::thread consumer{[&] {
-    std::uint32_t item = 0;
-    while (received.size() < total) {
-      if (ring.try_pop(item)) {
-        received.push_back(item);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  }};
-  for (std::uint32_t i = 0; i < total; ++i) {
-    (void)ring.push(i, BackpressurePolicy::kBlock);
+// A full kBlock ring grows instead of waiting: the consumer is the same
+// thread and only runs after the push returns, so waiting would never end.
+TEST(RingBuffer, BlockPolicyGrowsInsteadOfWaiting) {
+  RingBuffer<int> ring{2};
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(ring.push(i, BackpressurePolicy::kBlock), 0u);
   }
-  consumer.join();
-
-  ASSERT_EQ(received.size(), total);
-  for (std::uint32_t i = 0; i < total; ++i) ASSERT_EQ(received[i], i);
+  std::vector<int> drained;
+  ring.pop_all(drained);
+  EXPECT_EQ(drained, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_EQ(ring.pushed(), total);
-  EXPECT_EQ(ring.popped(), total);
-}
-
-// SPSC stress, drop-oldest policy: the producer races ahead of the consumer
-// and reclaims slots (the two-threads-on-the-dequeue-cursor case the Vyukov
-// design exists for). Invariants: the consumer sees a strictly increasing
-// subsequence, and drops + consumed == produced exactly.
-TEST(RingBuffer, DropOldestSpscStressAccountsExactly) {
-  RingBuffer<std::uint32_t> ring{16};
-  const std::uint32_t total = 50000;
-
-  std::atomic<bool> done{false};
-  std::vector<std::uint32_t> received;
-  received.reserve(total);
-  std::thread consumer{[&] {
-    std::uint32_t item = 0;
-    for (;;) {
-      if (ring.try_pop(item)) {
-        received.push_back(item);
-      } else if (done.load(std::memory_order_acquire)) {
-        if (!ring.try_pop(item)) break;
-        received.push_back(item);
-      }
-    }
-  }};
-  for (std::uint32_t i = 0; i < total; ++i) {
-    (void)ring.push(i, BackpressurePolicy::kDropOldest);
-  }
-  done.store(true, std::memory_order_release);
-  consumer.join();
-
-  // In-order delivery of whatever survived: strictly increasing values.
-  for (std::size_t i = 1; i < received.size(); ++i) {
-    ASSERT_LT(received[i - 1], received[i]);
-  }
-  // Exact loss accounting, the ward's contract: nothing vanishes uncounted.
-  EXPECT_EQ(ring.pushed(), total);
-  EXPECT_EQ(ring.dropped() + received.size(), total);
-  EXPECT_EQ(ring.popped(), total) << "drops count as producer-side pops";
-  EXPECT_EQ(ring.block_events(), 0u);
+  EXPECT_EQ(ring.block_events(), 2u) << "2 -> 4 -> 8 slots";
+  EXPECT_EQ(ring.capacity(), 8u);
 }
 
 // Wrap-around exactly at capacity under drop-oldest: filling the ring costs
@@ -186,72 +126,56 @@ TEST(RingBuffer, DropOldestWrapsExactlyAtCapacity) {
   for (int i = 0; i < cap; ++i) EXPECT_EQ(drained[i], i + 1);
 }
 
-// MPSC stress, drop-oldest policy: several session producers (the hospital's
-// per-shard fan-in) race each other on the enqueue cursor AND the consumer on
-// the dequeue cursor via slot reclaim. Invariants: per-producer items arrive
-// as an increasing subsequence, and dropped + received == pushed exactly —
-// no item vanishes uncounted, none is duplicated. Runs under the CI TSan job.
-TEST(RingBuffer, DropOldestMpscStressAccountsExactly) {
-  RingBuffer<std::uint32_t> ring{32};
-  constexpr std::uint32_t kProducers = 4;
-  constexpr std::uint32_t kPerProducer = 20000;
-  constexpr std::uint32_t kTag = 1u << 24;  // item = producer*kTag + seq
+// A restore either round-trips exactly or throws: an empty ring's counters
+// satisfy pushed == popped, dropped <= popped and block_events <= pushed.
+std::vector<std::uint8_t> ring_blob(bool empty, std::uint64_t pushed,
+                                    std::uint64_t popped, std::uint64_t dropped,
+                                    std::uint64_t blocked) {
+  tono::CheckpointWriter out;
+  out.section("ring");
+  out.boolean(empty);
+  out.u64(pushed);
+  out.u64(popped);
+  out.u64(dropped);
+  out.u64(blocked);
+  return out.finish(1);
+}
 
-  std::atomic<std::uint32_t> live{kProducers};
-  std::vector<std::uint32_t> received;
-  received.reserve(kProducers * kPerProducer);
-  std::thread consumer{[&] {
-    std::uint32_t item = 0;
-    for (;;) {
-      if (ring.try_pop(item)) {
-        received.push_back(item);
-      } else if (live.load(std::memory_order_acquire) == 0) {
-        break;  // producers done; the final drain below catches stragglers
-      }
-    }
-  }};
-  std::vector<std::thread> producers;
-  for (std::uint32_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, &live, p] {
-      for (std::uint32_t i = 0; i < kPerProducer; ++i) {
-        (void)ring.push(p * kTag + i, BackpressurePolicy::kDropOldest);
-      }
-      live.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  for (auto& t : producers) t.join();
-  consumer.join();
-  ring.pop_all(received);
+void restore_into(RingBuffer<int>& ring, const std::vector<std::uint8_t>& blob) {
+  tono::CheckpointReader in{blob};
+  ring.restore_accounting(in);
+  in.expect_end();
+}
 
-  // Each producer's surviving items form a strictly increasing subsequence
-  // (per-producer FIFO holds even when other producers interleave).
-  std::array<std::int64_t, kProducers> last;
-  last.fill(-1);
-  std::array<std::uint64_t, kProducers> got{};
-  for (const std::uint32_t item : received) {
-    const std::uint32_t p = item / kTag;
-    const std::uint32_t seq = item % kTag;
-    ASSERT_LT(p, kProducers);
-    ASSERT_GT(static_cast<std::int64_t>(seq), last[p])
-        << "producer " << p << " reordered or duplicated";
-    last[p] = seq;
-    ++got[p];
+TEST(RingBuffer, RestoreRejectsInconsistentAccounting) {
+  RingBuffer<int> source{2};
+  for (int i = 0; i < 5; ++i) (void)source.push(i, BackpressurePolicy::kBlock);
+  for (int i = 0; i < 9; ++i) (void)source.push(i, BackpressurePolicy::kDropOldest);
+  std::vector<int> sink;
+  source.pop_all(sink);
+  tono::CheckpointWriter out;
+  source.serialize_accounting(out);
+  RingBuffer<int> restored{2};
+  restore_into(restored, out.finish(1));
+  EXPECT_EQ(restored.pushed(), source.pushed());
+  EXPECT_EQ(restored.popped(), source.popped());
+  EXPECT_EQ(restored.dropped(), source.dropped());
+  EXPECT_EQ(restored.block_events(), source.block_events());
+
+  struct Bad {
+    const char* why;
+    std::vector<std::uint8_t> blob;
+  };
+  const Bad bad[] = {
+      {"not empty", ring_blob(false, 4, 4, 0, 0)},
+      {"pushed != popped", ring_blob(true, 5, 4, 0, 0)},
+      {"dropped > popped", ring_blob(true, 4, 4, 5, 0)},
+      {"block_events > pushed", ring_blob(true, 4, 4, 0, 5)},
+  };
+  for (const Bad& b : bad) {
+    RingBuffer<int> ring{2};
+    EXPECT_THROW(restore_into(ring, b.blob), tono::CheckpointError) << b.why;
   }
-  // Exact accounting at quiescence: every pushed item was either received or
-  // counted as a drop; drops count as producer-side pops, so the cursors
-  // agree with the drained-empty ring.
-  constexpr std::uint64_t total = kProducers * kPerProducer;
-  EXPECT_EQ(ring.pushed(), total);
-  EXPECT_EQ(ring.dropped() + received.size(), total);
-  EXPECT_EQ(ring.popped(), total);
-  EXPECT_EQ(ring.block_events(), 0u);
-  EXPECT_TRUE(ring.empty());
-  // Note: no per-producer survival floor — on a single core the producers
-  // can serialize and a later flood may legitimately evict everything an
-  // earlier producer queued. Only the accounting is an invariant.
-  std::uint64_t received_total = 0;
-  for (std::uint32_t p = 0; p < kProducers; ++p) received_total += got[p];
-  EXPECT_EQ(received_total, received.size());
 }
 
 }  // namespace
