@@ -52,6 +52,43 @@ using namespace tono;
 
 constexpr std::size_t kOsr = 128;  // paper OSR: clocks per output sample
 
+// Items are normals: items_per_second inverts to ns per normal.
+void BM_GaussianFill(benchmark::State& state) {
+  Rng rng{17};
+  std::vector<double> buf(4096);
+  for (auto _ : state) {
+    rng.fill_gaussian(buf.data(), buf.size());
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_GaussianFill);
+
+// 32 streams of one 128-clock frame each, the ModulatorBank's fill shape.
+void BM_GaussianFillMulti(benchmark::State& state) {
+  constexpr std::size_t kStreams = 32;
+  std::vector<Rng> streams;
+  for (std::size_t w = 0; w < kStreams; ++w) streams.emplace_back(100 + w);
+  std::vector<double> buf(kStreams * kOsr);
+  std::vector<Rng*> rngs;
+  std::vector<double*> dests;
+  const std::vector<std::size_t> ns(kStreams, kOsr);
+  for (std::size_t w = 0; w < kStreams; ++w) {
+    rngs.push_back(&streams[w]);
+    dests.push_back(buf.data() + w * kOsr);
+  }
+  for (auto _ : state) {
+    Rng::fill_gaussian_multi(rngs.data(), dests.data(), ns.data(), kStreams);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_GaussianFillMulti);
+
 void BM_ModulatorStepVoltage(benchmark::State& state) {
   analog::DeltaSigmaModulator mod{analog::ModulatorConfig{}};
   double v = 0.3;

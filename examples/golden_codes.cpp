@@ -5,11 +5,14 @@
 // Everything here is seeded and double-precision deterministic: with
 // -ffp-contract=off pinned in the root CMakeLists, any diff between two
 // builds means a real reordering/contraction of floating-point math crept
-// into the hot path, not "benign" noise. The transcript covers the three
-// determinism-critical paths: the scalar pipeline, block mode (noise-plan
-// path), and the lockstep ModulatorBank — including a heterogeneous bank
+// into the hot path, not "benign" noise. The transcript covers the Gaussian
+// sampler itself (a scalar draw loop and the batched multi-stream fill) and
+// the three determinism-critical converter paths: the scalar pipeline, block
+// mode (noise-plan path), and the lockstep ModulatorBank — including a
+// heterogeneous bank
 // whose lanes run the step kernel at mixed widths, and a serial fleet shard
 // that steps its sessions' modulators as lanes of one bank.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +33,19 @@ std::uint64_t fnv1a_bits(const std::vector<int>& bits) {
   for (const int b : bits) {
     h ^= static_cast<std::uint64_t>(static_cast<std::uint8_t>(b > 0 ? 1 : 0));
     h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// FNV-1a over the IEEE-754 bit patterns of doubles, eight bytes each.
+std::uint64_t fnv1a_doubles(const std::vector<double>& values) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+      h ^= (bits >> shift) & 0xFFu;
+      h *= 1099511628211ull;
+    }
   }
   return h;
 }
@@ -56,6 +72,33 @@ double pressure_at(double t_s) {
 int main() {
   using namespace tono;
   const core::ChipConfig chip = core::ChipConfig::paper_chip();
+
+  // 0) The Gaussian sampler: the first 4096 normals of a scalar gaussian()
+  //    loop and of each stream of a 5-stream fill_gaussian_multi (one full
+  //    AVX2 group plus a scalar remainder stream).
+  {
+    constexpr std::size_t kNormals = 4096;
+    Rng scalar{2024};
+    std::vector<double> values(kNormals);
+    for (double& v : values) v = scalar.gaussian();
+    std::printf("gaussian_scalar %016llx\n",
+                static_cast<unsigned long long>(fnv1a_doubles(values)));
+    std::vector<Rng> streams;
+    for (std::uint64_t w = 0; w < 5; ++w) streams.emplace_back(3000 + w);
+    std::vector<std::vector<double>> out(5, std::vector<double>(kNormals));
+    std::vector<Rng*> rngs;
+    std::vector<double*> dests;
+    for (std::size_t w = 0; w < 5; ++w) {
+      rngs.push_back(&streams[w]);
+      dests.push_back(out[w].data());
+    }
+    const std::vector<std::size_t> ns(5, kNormals);
+    Rng::fill_gaussian_multi(rngs.data(), dests.data(), ns.data(), 5);
+    for (std::size_t w = 0; w < 5; ++w) {
+      std::printf("gaussian_multi%zu %016llx\n", w,
+                  static_cast<unsigned long long>(fnv1a_doubles(out[w])));
+    }
+  }
 
   // 1) Scalar pipeline: 16 output samples, field sampled every clock.
   {

@@ -9,7 +9,7 @@
 // noise plans [clock][lane] so each clock is one contiguous vector load. Lane
 // *values* (seeds, capacitances, noise magnitudes, inputs) are free to
 // differ; only the branch structure must be uniform, because the kernel's
-// `if (p.noise[kOp1])`-style branches are per-packet, not per-lane.
+// `if (p.noise[kOp2])`-style branches are per-packet, not per-lane.
 //
 // Three policies instantiate it: AVX2 (W=4) and NEON (W=2) for the
 // ModulatorBank's full packets, and scalar (W=1, always compiled) for
@@ -62,8 +62,7 @@ enum State : std::size_t {
 
 /// Per-lane invariants (PacketView::in).
 enum Invariant : std::size_t {
-  kU,             ///< normalized input
-  kG1,            ///< loop.g1
+  kG1U,           ///< loop.g1 * normalized input (set per block)
   kA1,            ///< loop.a1
   kP2,            ///< loop.g2 * g2_mismatch (pre-multiplied, same
                   ///< association as the scalar expression)
@@ -82,8 +81,11 @@ enum Invariant : std::size_t {
   kNumInvariant
 };
 
-/// Noise sources, one per-frame plan each (PacketView::noise).
-enum Source : std::size_t { kKtc, kRef, kOp1, kFl1, kOp2, kFl2, kComp, kNumSource };
+/// Noise sources, one per-frame plan each (PacketView::noise). kWhite1 is
+/// the first integrator's white noise: kT/C, reference and op-amp 1 noise
+/// add at the same node in the same clock, so they are one Gaussian
+/// (DeltaSigmaModulator::white1_sigma_).
+enum Source : std::size_t { kWhite1, kFl1, kOp2, kFl2, kComp, kNumSource };
 
 struct PacketView {
   std::size_t width{0};  ///< lanes in this packet (== kernel width)
@@ -125,34 +127,6 @@ void run_packets_avx2(PacketView* packets, std::size_t n_packets,
 void run_packets_neon(PacketView* packets, std::size_t n_packets,
                       std::size_t n_clocks);
 
-/// One packet's shared-stream fusion job: turn each lane's raw standard
-/// normals (interleaved [kT/C, ref, op1, op2] per clock) directly into the
-/// packet's scaled, [clock][lane]-transposed plan buffers, skipping the
-/// intermediate per-lane NoisePlan arrays entirely. Only built for packets
-/// with all four shared sources enabled (four draws per clock — the
-/// default operating point); other packets de-interleave lane by lane
-/// through DeltaSigmaModulator::build_shared_plan_ with a stride.
-struct SharedFuseJob {
-  const double* raw[kMaxWidth];  ///< per-slot raw stream, 4 normals/clock
-  double* ktc;                   ///< dest [clock*width + slot]
-  double* ref;
-  double* op1;
-  double* op2;
-  // Per-slot scale constants, width entries each, mirroring
-  // DeltaSigmaModulator::build_shared_plan_'s draw-site expressions.
-  double sigma_u[kMaxWidth];   ///< kT/C:  0 + sigma_u·raw
-  double ref_vrms[kMaxWidth];  ///< ref:   (0 + ref_vrms·raw) / vref
-  double vref[kMaxWidth];
-  double op1_vrms[kMaxWidth];  ///< op1:   (0 + op1_vrms·raw) / scale
-  double op2_vrms[kMaxWidth];  ///< op2:   (0 + op2_vrms·raw) / scale
-  double scale[kMaxWidth];
-};
-
-/// AVX2 fused de-interleave + scale + 4×4 transpose (width must be 4).
-/// Elementwise mul/add/div in the exact scalar association, so each value
-/// is bit-identical to build_shared_plan_ at stride 4.
-void fuse_shared4_avx2(const SharedFuseJob& job, std::size_t n_clocks);
-
 /// One packet's state, invariants, noise-plan pointers and output cursors,
 /// held in locals for one run_packets call (a frame): the clock loop reaches
 /// none of them through a PacketView pointer, and the compiler may keep a
@@ -179,22 +153,15 @@ struct Regs {
   }
 };
 
-/// One integrator stage (s = 0 first, 1 second) of a packet for clock
-/// offset `off`: adds the stage's op-amp and flicker plan noise to `delta`,
-/// settles it, integrates with leak, clips to the output swing, counts clips
-/// into `clips`, tracks the peak and stores the new state, which it returns.
+/// One integrator stage (s = 0 first, 1 second) of a packet: settles the
+/// charge step `delta` (noise already added), integrates with leak, clips to
+/// the output swing, counts clips into `clips`, tracks the peak and stores
+/// the new state, which it returns.
 template <class V>
 [[gnu::always_inline]] inline typename V::D integrate(
-    const PacketView& p, Regs<V>& r, std::size_t s,
-                               std::size_t off, typename V::D delta,
-                               typename V::D scale, typename V::D& clips) {
+    const PacketView& p, Regs<V>& r, std::size_t s, typename V::D delta,
+    typename V::D scale, typename V::D& clips) {
   using D = typename V::D;
-  if (const double* op = r.noise[s == 0 ? kOp1 : kOp2]) {
-    delta = V::add(delta, V::load(op + off));
-  }
-  if (const double* fl = r.noise[s == 0 ? kFl1 : kFl2]) {
-    delta = V::add(delta, V::load(fl + off));
-  }
   if (r.settling) {
     // settle(v) returns v bit-for-bit at or below the full-settle threshold
     // (OpAmp::full_settle_threshold), and settle(±0) returns +0.0.
@@ -231,6 +198,17 @@ template <class V>
   return x;
 }
 
+/// `delta` plus source `src`'s plan value for clock offset `off`, when the
+/// source exists.
+template <class V>
+[[gnu::always_inline]] inline typename V::D add_noise(const Regs<V>& r,
+                                                      Source src,
+                                                      std::size_t off,
+                                                      typename V::D delta) {
+  const double* plan = r.noise[src];
+  return plan != nullptr ? V::add(delta, V::load(plan + off)) : delta;
+}
+
 /// Clock `i` of one packet, on its frame-local copy `r`.
 template <class V>
 [[gnu::always_inline]] inline void step_clock(const PacketView& p, Regs<V>& r,
@@ -241,21 +219,17 @@ template <class V>
   const D d = r.state[kD];
   const D x1_prev = r.state[kX1];
 
-  // u_total = u + extra_noise_u + ref_err_u * d  (zeros when off, exactly
-  // as step_normalized computes with its zero-initialized locals).
-  const D ref = r.noise[kRef] ? V::load(r.noise[kRef] + off) : V::zero();
-  const D ktc = r.noise[kKtc] ? V::load(r.noise[kKtc] + off) : V::zero();
-  const D u_total = V::add(V::add(r.in[kU], ktc), V::mul(ref, d));
-  // delta1 = g1*u_total - a1*d*(1 + ref_err_u)
-  const D delta1 = V::sub(V::mul(r.in[kG1], u_total),
-                          V::mul(V::mul(r.in[kA1], d), V::add(V::one(), ref)));
+  // delta1 = g1*u - a1*d + n1 [+ flicker 1], as step_normalized adds them.
+  D delta1 = V::sub(r.in[kG1U], V::mul(r.in[kA1], d));
+  delta1 = add_noise<V>(r, kFl1, off, add_noise<V>(r, kWhite1, off, delta1));
   D clips = r.state[kClips];
-  const D x1 = integrate<V>(p, r, 0, off, delta1, scale, clips);
+  const D x1 = integrate<V>(p, r, 0, delta1, scale, clips);
   D y;
   if (r.order2) {
-    // delta2 = (g2 * g2_mismatch) * x1_prev - a2 * d
-    const D delta2 = V::sub(V::mul(r.in[kP2], x1_prev), V::mul(r.in[kA2], d));
-    y = V::mul(integrate<V>(p, r, 1, off, delta2, scale, clips), scale);
+    // delta2 = (g2 * g2_mismatch) * x1_prev - a2 * d [+ op-amp 2 + flicker 2]
+    D delta2 = V::sub(V::mul(r.in[kP2], x1_prev), V::mul(r.in[kA2], d));
+    delta2 = add_noise<V>(r, kFl2, off, add_noise<V>(r, kOp2, off, delta2));
+    y = V::mul(integrate<V>(p, r, 1, delta2, scale, clips), scale);
   } else {
     y = V::mul(x1, scale);
   }
@@ -263,9 +237,9 @@ template <class V>
 
   // Comparator::decide with planned noise: v = y - offset [+ noise];
   // v -= halfhyst * (-last); |v| < band → metastable slow path.
-  D cv = V::sub(y, r.in[kCompOffset]);
-  if (r.noise[kComp]) cv = V::add(cv, V::load(r.noise[kComp] + off));
-  cv = V::sub(cv, V::mul(r.in[kCompHalfHyst], V::neg(r.state[kLast])));
+  const D cv = V::sub(
+      add_noise<V>(r, kComp, off, V::sub(y, r.in[kCompOffset])),
+      V::mul(r.in[kCompHalfHyst], V::neg(r.state[kLast])));
   D newlast = V::select(V::cmp_ge(cv, V::zero()), V::one(), V::neg(V::one()));
   const typename V::M meta = V::cmp_lt(V::abs(cv), r.in[kCompBand]);
   if (V::any(meta)) {

@@ -21,10 +21,10 @@ bool Comparator::planned_metastable_(std::size_t consumed) noexcept {
   // The scalar stream interleaves this Bernoulli between the Gaussian just
   // consumed (index consumed - 1) and the next one. Rewind to the segment
   // snapshot, replay the Gaussians consumed since then to reconstruct the
-  // exact mid-frame state (including the polar method's spare cache), draw
-  // the Bernoulli at its scalar position, then regenerate the not-yet-
-  // consumed tail of the plan from the post-Bernoulli state — those values
-  // change, exactly as they would have in the scalar sequence.
+  // exact mid-frame state (a Gaussian consumes a variable number of raw
+  // draws), draw the Bernoulli at its scalar position, then regenerate the
+  // not-yet-consumed tail of the plan from the post-Bernoulli state — those
+  // values change, exactly as they would have in the scalar sequence.
   Rng replay = plan_snapshot_;
   for (std::size_t i = segment_start_; i < consumed; ++i) {
     (void)replay.gaussian();
@@ -47,7 +47,11 @@ void Comparator::serialize(CheckpointWriter& out) const {
 void Comparator::restore(CheckpointReader& in) {
   in.section("comparator");
   rng_.restore(in);
-  last_ = static_cast<int>(in.i64());
+  const std::int64_t last = in.i64();
+  if (last != 1 && last != -1) {
+    throw CheckpointError{"comparator checkpoint decision is not +1 or -1"};
+  }
+  last_ = static_cast<int>(last);
   plan_buf_ = nullptr;
   plan_len_ = segment_start_ = 0;
 }

@@ -41,7 +41,6 @@ DeltaSigmaModulator::DeltaSigmaModulator(const ModulatorConfig& config)
   // exact-settle thresholds can be resolved once here instead of per clock.
   using namespace bankkernel;
   dt_phase_s_ = 0.5 / config_.sampling_rate_hz;
-  in_[kG1] = config_.loop.g1;
   in_[kA1] = config_.loop.a1;
   // step_normalized's delta2 is (g2 · g2_mismatch_) · x1_prev under left
   // association, so pre-multiplying is exact.
@@ -61,9 +60,11 @@ DeltaSigmaModulator::DeltaSigmaModulator(const ModulatorConfig& config)
   in_[kCompBand] = config_.comparator.metastable_band_v;
   in_[kClockPeriod] = 1.0 / config_.sampling_rate_hz;  // step_normalized's exact double
   const bool order2 = config_.order == 2;
-  source_on_ = {config_.enable_ktc_noise,
-                config_.ref_noise_vrms > 0.0,
-                config_.opamp1.noise_vrms > 0.0,
+  // The reference term of white1_sigma_ vanishes at g1 == a1.
+  const bool ref_noise_on =
+      config_.ref_noise_vrms > 0.0 && config_.loop.g1 != config_.loop.a1;
+  source_on_ = {config_.enable_ktc_noise || ref_noise_on ||
+                    config_.opamp1.noise_vrms > 0.0,
                 flicker_scale1_ > 0.0,
                 order2 && config_.opamp2.noise_vrms > 0.0,
                 order2 && flicker_scale2_ > 0.0,
@@ -101,27 +102,26 @@ double DeltaSigmaModulator::normalized_input(double delta_c_f) const noexcept {
   return delta_c_f / full_scale_delta_c();
 }
 
-int DeltaSigmaModulator::step_normalized(double u, double extra_noise_u) {
-  const double vref = config_.vref_v;
+double DeltaSigmaModulator::white1_sigma_(double ktc_sigma_u) const noexcept {
+  const auto& lc = config_.loop;
+  const double ktc = lc.g1 * ktc_sigma_u;
+  const double ref = (lc.g1 - lc.a1) * config_.ref_noise_vrms / config_.vref_v;
+  const double op1 = config_.opamp1.noise_vrms / lc.state_scale_v;
+  return std::sqrt(ktc * ktc + ref * ref + op1 * op1);
+}
+
+int DeltaSigmaModulator::step_normalized(double u, double white1_sigma) {
+  using namespace bankkernel;
   const double dt = 0.5 / config_.sampling_rate_hz;  // one clock phase
   const auto& lc = config_.loop;
   const double scale = lc.state_scale_v;  // volts per unit of loop state
-
-  // Reference noise enters through the feedback charge.
-  double ref_err_u = 0.0;
-  if (config_.ref_noise_vrms > 0.0) {
-    ref_err_u = rng_.gaussian(0.0, config_.ref_noise_vrms) / vref;
-  }
-
   const double d = static_cast<double>(bit_);
 
-  // ---- First integrator (delaying): x1 += g1·u − a1·d, state in FS units.
-  const double u_total = u + extra_noise_u + ref_err_u * d;
-  double delta1 = lc.g1 * u_total - lc.a1 * d * (1.0 + ref_err_u);
-  // Op-amp thermal + flicker noise, referred to the integrator output node.
-  if (config_.opamp1.noise_vrms > 0.0) {
-    delta1 += rng_.gaussian(0.0, config_.opamp1.noise_vrms) / scale;
-  }
+  // ---- First integrator (delaying): x1 += g1·u − a1·d, state in FS units,
+  // plus the merged kT/C + reference + op-amp white noise and the op-amp
+  // flicker, referred to the integrator output node.
+  double delta1 = lc.g1 * u - lc.a1 * d;
+  if (source_on_[kWhite1]) delta1 += white1_sigma * rng_.gaussian();
   if (flicker_scale1_ > 0.0) {
     delta1 += flicker1_.next() * flicker_scale1_ / scale;
   }
@@ -145,9 +145,7 @@ int DeltaSigmaModulator::step_normalized(double u, double extra_noise_u) {
 
   // ---- Second integrator: x2 += g2·x1_prev − a2·d (x1 half-cycle delayed).
   double delta2 = lc.g2 * g2_mismatch_ * x1_prev - lc.a2 * d;
-  if (config_.opamp2.noise_vrms > 0.0) {
-    delta2 += rng_.gaussian(0.0, config_.opamp2.noise_vrms) / scale;
-  }
+  if (source_on_[kOp2]) delta2 += op2_sigma_() * rng_.gaussian();
   if (flicker_scale2_ > 0.0) {
     delta2 += flicker2_.next() * flicker_scale2_ / scale;
   }
@@ -169,75 +167,56 @@ int DeltaSigmaModulator::step_normalized(double u, double extra_noise_u) {
 
 int DeltaSigmaModulator::step_voltage(double vin_v) {
   const double c_s = config_.c_sample_f * sample_mismatch_;
-  double noise_u = 0.0;
+  double ktc_sigma_u = 0.0;
   if (config_.enable_ktc_noise) {
     // Input + feedback branches sample on c_sample twice per period:
     // variance 4·kT·C in charge, normalized by the full-scale charge.
     const double q_sigma =
         std::sqrt(4.0 * units::k_boltzmann * config_.temperature_k * c_s);
-    noise_u = rng_.gaussian(0.0, q_sigma / (c_s * config_.vref_v));
+    ktc_sigma_u = q_sigma / (c_s * config_.vref_v);
   }
-  return step_normalized(vin_v / config_.vref_v, noise_u);
+  return step_normalized(vin_v / config_.vref_v, white1_sigma_(ktc_sigma_u));
 }
 
 int DeltaSigmaModulator::step_capacitive(double c_sense_f, double c_ref_f) {
+  const CapacitiveInput in = capacitive_input_(c_sense_f, c_ref_f);
+  return step_normalized(in.u, in.white1_sigma);
+}
+
+DeltaSigmaModulator::CapacitiveInput DeltaSigmaModulator::capacitive_input_(
+    double c_sense_f, double c_ref_f) const noexcept {
+  CapacitiveInput in;
   const double c_fb = config_.c_fb1_f * fb1_mismatch_;
   const double q_fs = c_fb * config_.vref_v;
   const double q_sig = (c_sense_f - c_ref_f) * config_.vexc_v;
-  double noise_u = 0.0;
+  in.u = q_sig / q_fs;
+  double ktc_sigma_u = 0.0;
   if (config_.enable_ktc_noise) {
     // Sensor, reference and feedback branches each contribute kT·C per
     // phase; two phases per conversion.
     const double c_total = c_sense_f + c_ref_f + c_fb;
     const double q_sigma =
         std::sqrt(2.0 * units::k_boltzmann * config_.temperature_k * c_total * 2.0);
-    noise_u = rng_.gaussian(0.0, q_sigma / q_fs);
+    ktc_sigma_u = q_sigma / q_fs;
   }
-  return step_normalized(q_sig / q_fs, noise_u);
-}
-
-DeltaSigmaModulator::CapacitiveInput DeltaSigmaModulator::capacitive_input_(
-    double c_sense_f, double c_ref_f) const noexcept {
-  // Everything that depends only on the capacitances is loop-invariant; the
-  // expressions below are copied verbatim from step_capacitive so the hoisted
-  // values are bit-identical to what each scalar call would recompute.
-  CapacitiveInput in;
-  const double c_fb = config_.c_fb1_f * fb1_mismatch_;
-  const double q_fs = c_fb * config_.vref_v;
-  const double q_sig = (c_sense_f - c_ref_f) * config_.vexc_v;
-  in.u = q_sig / q_fs;
-  if (config_.enable_ktc_noise) {
-    const double c_total = c_sense_f + c_ref_f + c_fb;
-    const double q_sigma =
-        std::sqrt(2.0 * units::k_boltzmann * config_.temperature_k * c_total * 2.0);
-    in.sigma_u = q_sigma / q_fs;
-  }
+  in.white1_sigma = white1_sigma_(ktc_sigma_u);
   return in;
 }
 
 void DeltaSigmaModulator::build_shared_plan_(
-    std::size_t n, double sigma_u, const double* raw, double* dst,
+    std::size_t n, double white1_sigma, const double* raw, double* dst,
     std::size_t source_stride, std::size_t clock_stride) const noexcept {
-  // The shared stream's draw order per clock is [kT/C, ref, op-amp1,
-  // op-amp2], each present only when its source is enabled — and
-  // gaussian(mean, sigma) is an affine map over gaussian(), so the standard
-  // normals behind all of them form ONE sequence (`raw`). De-interleave into
-  // the SoA buffers applying each source's exact draw-site expression,
-  // including its `0.0 +` (which turns a −0.0 product into +0.0, as the
-  // scalar path's mean addition does).
+  // The shared stream's draw order per clock is [first-stage white,
+  // op-amp 2], each present only when its source is enabled, as
+  // step_normalized draws them; each value is σ · the standard normal.
   using namespace bankkernel;
-  const double vref = config_.vref_v;
-  const double scale = config_.loop.state_scale_v;
-  double* const ktc_dst = dst + kKtc * source_stride;
-  double* const ref_dst = dst + kRef * source_stride;
-  double* const op1_dst = dst + kOp1 * source_stride;
+  const double op2_sigma = op2_sigma_();
+  double* const white1_dst = dst + kWhite1 * source_stride;
   double* const op2_dst = dst + kOp2 * source_stride;
   std::size_t j = 0;
   for (std::size_t i = 0, o = 0; i < n; ++i, o += clock_stride) {
-    if (source_on_[kKtc]) ktc_dst[o] = 0.0 + sigma_u * raw[j++];
-    if (source_on_[kRef]) ref_dst[o] = (0.0 + config_.ref_noise_vrms * raw[j++]) / vref;
-    if (source_on_[kOp1]) op1_dst[o] = (0.0 + config_.opamp1.noise_vrms * raw[j++]) / scale;
-    if (source_on_[kOp2]) op2_dst[o] = (0.0 + config_.opamp2.noise_vrms * raw[j++]) / scale;
+    if (source_on_[kWhite1]) white1_dst[o] = white1_sigma * raw[j++];
+    if (source_on_[kOp2]) op2_dst[o] = op2_sigma * raw[j++];
   }
 }
 
@@ -247,14 +226,14 @@ void DeltaSigmaModulator::scale_flicker_(double* flick, double flicker_scale,
   for (std::size_t i = 0; i < n; ++i) flick[i] = flick[i] * flicker_scale / scale;
 }
 
-void DeltaSigmaModulator::fill_noise_plan_(std::size_t n, double sigma_u) noexcept {
+void DeltaSigmaModulator::fill_noise_plan_(std::size_t n, double white1_sigma) noexcept {
   // Generate the whole frame's worth of shared-stream normals in a single
   // bulk fill (same end state as the interleaved scalar draws), then
   // de-interleave. See build_shared_plan_.
   using namespace bankkernel;
-  double raw[4 * kPlanFrame];
+  double raw[2 * kPlanFrame];
   rng_.fill_gaussian(raw, n * shared_draws_per_clock_());
-  build_shared_plan_(n, sigma_u, raw, plan_.data(), kPlanFrame, 1);
+  build_shared_plan_(n, white1_sigma, raw, plan_.data(), kPlanFrame, 1);
   if (source_on_[kFl1]) {
     flicker1_.fill_next(plan_of_(kFl1), n);
     scale_flicker_(plan_of_(kFl1), flicker_scale1_, n);
@@ -303,7 +282,7 @@ std::uint32_t DeltaSigmaModulator::structure_key_() const noexcept {
 }
 
 void DeltaSigmaModulator::load_kernel_(double u) noexcept {
-  in_[bankkernel::kU] = u;
+  in_[bankkernel::kG1U] = config_.loop.g1 * u;  // step_normalized's lc.g1 * u
   kernel_.d = static_cast<double>(bit_);
   kernel_.last = static_cast<double>(comparator_.last_decision());
   kernel_.clips = 0.0;  // per-block count, added to clip_count_ after
@@ -334,7 +313,7 @@ void DeltaSigmaModulator::step_capacitive_block(double c_sense_f, double c_ref_f
   load_kernel_(in.u);
   while (n > 0) {
     const std::size_t frame = std::min<std::size_t>(n, kPlanFrame);
-    fill_noise_plan_(frame, in.sigma_u);
+    fill_noise_plan_(frame, in.white1_sigma);
     kernel_.bits = bits_out;
     bankkernel::run_packets_scalar(&view, 1, frame);
     bits_out += frame;
@@ -399,10 +378,18 @@ void DeltaSigmaModulator::serialize(CheckpointWriter& out) const {
 
 void DeltaSigmaModulator::restore(CheckpointReader& in) {
   in.section("modulator");
-  config_.c_fb1_f = in.f64();
+  const double c_fb1_f = in.f64();
+  if (!(c_fb1_f > 0.0)) {
+    throw CheckpointError{"modulator checkpoint feedback capacitor is not > 0"};
+  }
+  config_.c_fb1_f = c_fb1_f;
   x1_ = in.f64();
   x2_ = in.f64();
-  bit_ = static_cast<int>(in.i64());
+  const std::int64_t bit = in.i64();
+  if (bit != 1 && bit != -1) {
+    throw CheckpointError{"modulator checkpoint output bit is not +1 or -1"};
+  }
+  bit_ = static_cast<int>(bit);
   time_s_ = in.f64();
   max_x1_ = in.f64();
   max_x2_ = in.f64();

@@ -105,7 +105,12 @@ class DeltaSigmaModulator {
 
   /// Capacitive mode against the configured on-chip reference branch.
   [[nodiscard]] int step_capacitive(double c_sense_f) {
-    return step_capacitive(c_sense_f, config_.c_ref_f * ref_mismatch_);
+    return step_capacitive(c_sense_f, reference_capacitance());
+  }
+
+  /// The on-chip reference branch's capacitance, with its die mismatch [F].
+  [[nodiscard]] double reference_capacitance() const noexcept {
+    return config_.c_ref_f * ref_mismatch_;
   }
 
   /// Runs `n` clocks in capacitive mode at fixed sensor/reference
@@ -167,10 +172,24 @@ class DeltaSigmaModulator {
   friend class ModulatorBank;
 
   /// Shared loop update; `u` is the normalized input (full scale ±1) and
-  /// `extra_noise_u` is mode-specific input-referred noise. This is the
-  /// per-clock reference implementation; the planned kernel
-  /// (bank_kernel.hpp) must match it expression for expression.
-  [[nodiscard]] int step_normalized(double u, double extra_noise_u);
+  /// `white1_sigma` the first integrator's white-noise σ (white1_sigma_ of
+  /// the mode's kT/C σ). This is the per-clock reference implementation; the
+  /// planned kernel (bank_kernel.hpp) must match it expression for
+  /// expression.
+  [[nodiscard]] int step_normalized(double u, double white1_sigma);
+
+  /// σ of the first integrator's merged white noise, in full-scale units.
+  /// kT/C (input-referred σ `ktc_sigma_u`) enters delta1 as g1·ktc; the
+  /// reference error as d·ref·(g1 − a1), where d = ±1 is fixed before the
+  /// draw, so it has the law of ref·(g1 − a1); op-amp 1 noise as op1/scale.
+  /// Independent zero-mean Gaussians added at one node in one clock are one
+  /// Gaussian with the summed variance.
+  [[nodiscard]] double white1_sigma_(double ktc_sigma_u) const noexcept;
+
+  /// σ of the second integrator's op-amp noise, in full-scale units.
+  [[nodiscard]] double op2_sigma_() const noexcept {
+    return config_.opamp2.noise_vrms / config_.loop.state_scale_v;
+  }
 
   /// Per-sample flicker amplitude for one op-amp (0 if disabled).
   [[nodiscard]] double flicker_scale(const OpAmpConfig& amp) const noexcept;
@@ -179,17 +198,17 @@ class DeltaSigmaModulator {
   /// clocks at the paper's operating point (128 kHz / 1 kS/s).
   static constexpr std::size_t kPlanFrame = 128;
 
-  /// Capacitive-mode loop invariants, hoisted verbatim from step_capacitive.
+  /// Capacitive-mode loop invariants for fixed capacitances.
   struct CapacitiveInput {
-    double u{0.0};        ///< normalized input q_sig / q_fs
-    double sigma_u{0.0};  ///< kT/C sigma in FS units (0 when disabled)
+    double u{0.0};             ///< normalized input q_sig / q_fs
+    double white1_sigma{0.0};  ///< white1_sigma_ of the kT/C σ
   };
   [[nodiscard]] CapacitiveInput capacitive_input_(double c_sense_f,
                                                   double c_ref_f) const noexcept;
 
   /// Fills plan_ for the next `n` clocks (n <= kPlanFrame), advancing every
   /// noise stream exactly as n scalar steps would.
-  void fill_noise_plan_(std::size_t n, double sigma_u) noexcept;
+  void fill_noise_plan_(std::size_t n, double white1_sigma) noexcept;
 
   // fill_noise_plan_ is split into the pieces below so the ModulatorBank can
   // drive the same plan construction with cross-lane batched Gaussian fills
@@ -197,20 +216,18 @@ class DeltaSigmaModulator {
   // lanes, then calls the per-lane de-interleave helpers. Solo and bank paths
   // share these bodies, so they cannot drift apart.
 
-  /// Shared-stream (rng_) standard normals consumed per clock.
+  /// Shared-stream (rng_) standard normals consumed per clock (0–2).
   [[nodiscard]] std::size_t shared_draws_per_clock_() const noexcept {
     using namespace bankkernel;
-    return static_cast<std::size_t>(source_on_[kKtc] + source_on_[kRef] +
-                                    source_on_[kOp1] + source_on_[kOp2]);
+    return static_cast<std::size_t>(source_on_[kWhite1] + source_on_[kOp2]);
   }
   /// De-interleaves a shared-stream raw fill (n * shared_draws_per_clock_
-  /// standard normals) with each source's exact draw-site expression into
-  /// `dst`: source s's value for clock i goes to
-  /// dst[s * source_stride + i * clock_stride] — plan_ at clock stride 1, or
-  /// a lane's slot in a W-wide bank packet's [clock][lane] buffers at W.
-  void build_shared_plan_(std::size_t n, double sigma_u, const double* raw,
-                          double* dst,
-                          std::size_t source_stride,
+  /// standard normals) with each source's σ into `dst`: source s's value for
+  /// clock i goes to dst[s * source_stride + i * clock_stride] — plan_ at
+  /// clock stride 1, or a lane's slot in a W-wide bank packet's
+  /// [clock][lane] buffers at W.
+  void build_shared_plan_(std::size_t n, double white1_sigma, const double* raw,
+                          double* dst, std::size_t source_stride,
                           std::size_t clock_stride) const noexcept;
   /// Draw-site scaling of the unit pink samples in one flicker plan buffer.
   void scale_flicker_(double* flick, double flicker_scale,
@@ -257,8 +274,8 @@ class DeltaSigmaModulator {
   double ref_mismatch_{1.0};
   double g2_mismatch_{1.0};
   /// One frame's worth of pre-drawn noise, SoA: source s (bankkernel::Source)
-  /// at [s * kPlanFrame + clock]. The shared-stream sources (kT/C, reference,
-  /// op-amp 1, op-amp 2) are de-interleaved from a single bulk
+  /// at [s * kPlanFrame + clock]. The shared-stream sources (first-stage
+  /// white, op-amp 2) are de-interleaved from a single bulk
   /// Rng::fill_gaussian; flicker and comparator noise come from their own
   /// streams. Values are stored post-scaling with each source's exact scalar
   /// draw-site expression, so the kernel just adds them.
@@ -267,8 +284,8 @@ class DeltaSigmaModulator {
   /// Which noise sources exist, exactly as step_normalized enables them.
   std::array<bool, bankkernel::kNumSource> source_on_{};
   double dt_phase_s_{0.0};  ///< one clock phase, 0.5 / fs
-  /// The kernel's per-lane invariants (bankkernel::Invariant); kU is set per
-  /// block, the rest at construction.
+  /// The kernel's per-lane invariants (bankkernel::Invariant); kG1U is set
+  /// per block, the rest at construction.
   std::array<double, bankkernel::kNumInvariant> in_{};
   /// Block-scoped kernel scratch (see kernel_view_).
   struct KernelScratch {

@@ -64,8 +64,7 @@ void ModulatorBank::size_lanes_() {
   for (std::size_t k = 0; k < n; ++k) lane_keys_[k] = lanes_[k]->structure_key_();
   inputs_.resize(n);
   enabled_.assign(n, 1);
-  shared_raw_.resize(n * 4 * kFrame);
-  flicker_raw_.resize(n * kFrame);
+  shared_raw_.resize(n * 2 * kFrame);
   fill_rngs_.reserve(n);
   fill_dests_.reserve(n);
   fill_ns_.reserve(n);
@@ -123,9 +122,6 @@ void ModulatorBank::rebuild_packets_() {
           lane_packet_[lk] = packets_.size();
           lane_slot_[lk] = w;
         }
-        const PacketView& s = lane_views_[members[i]];
-        p.fuse4 = level_ == simd::Level::kAvx2 && s.noise[kKtc] && s.noise[kRef] &&
-                  s.noise[kOp1] && s.noise[kOp2];
         packets_.push_back(p);
       }
     }
@@ -210,9 +206,9 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   // solo helper. Zero-length fills are skipped on both paths (no-ops).
   using namespace bankkernel;
 
-  // Shared white stream: kT/C + reference + op-amp noise, interleaved.
+  // Shared white stream: first-stage white and op-amp 2 noise, interleaved.
   fill_batched_([&](std::size_t k) {
-    return Fill{&lanes_[k]->rng_, shared_raw_.data() + k * 4 * kFrame,
+    return Fill{&lanes_[k]->rng_, shared_raw_.data() + k * 2 * kFrame,
                 frame * lanes_[k]->shared_draws_per_clock_()};
   });
   // De-interleave: packet lanes write their scaled values straight into the
@@ -222,52 +218,30 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
     const std::size_t k = fill_lanes_[j];
     DeltaSigmaModulator& lane = *lanes_[k];
     if (lane_packet_[k] == kNoPacket) {
-      lane.build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
+      lane.build_shared_plan_(frame, inputs_[k].white1_sigma, fill_dests_[j],
                               lane.plan_.data(), kFrame, 1);
-      continue;
+    } else {
+      Packet& p = packets_[lane_packet_[k]];
+      lane.build_shared_plan_(frame, inputs_[k].white1_sigma, fill_dests_[j],
+                              p.noise.data() + lane_slot_[k], kPlanStride,
+                              width_);
     }
-    Packet& p = packets_[lane_packet_[k]];
-    if (p.fuse4) continue;  // the whole packet at once, below
-    lane.build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
-                            p.noise.data() + lane_slot_[k], kPlanStride, width_);
   }
-#if defined(TONO_SIMD_AVX2)
-  for (Packet& p : packets_) {
-    if (!p.fuse4) continue;
-    SharedFuseJob job;
-    for (std::size_t w = 0; w < width_; ++w) {
-      const std::size_t lk = p.lane[w];
-      const DeltaSigmaModulator& lane = *lanes_[lk];
-      job.raw[w] = shared_raw_.data() + lk * 4 * kFrame;
-      job.sigma_u[w] = inputs_[lk].sigma_u;
-      job.ref_vrms[w] = lane.config_.ref_noise_vrms;
-      job.vref[w] = lane.config_.vref_v;
-      job.op1_vrms[w] = lane.config_.opamp1.noise_vrms;
-      job.op2_vrms[w] = lane.config_.opamp2.noise_vrms;
-      job.scale[w] = lane.config_.loop.state_scale_v;
-    }
-    job.ktc = p.noise.data() + kKtc * kPlanStride;
-    job.ref = p.noise.data() + kRef * kPlanStride;
-    job.op1 = p.noise.data() + kOp1 * kPlanStride;
-    job.op2 = p.noise.data() + kOp2 * kPlanStride;
-    fuse_shared4_avx2(job, frame);
-  }
-#endif
 
-  // Flicker streams: one standard normal per sample; the Voss-McCartney row
-  // replay happens per lane from the batch-drawn values.
+  // Flicker streams: one standard normal per sample, batch-drawn into each
+  // lane's plan buffer; the Voss-McCartney row replay then runs in place.
   for (const Source src : {kFl1, kFl2}) {
     fill_batched_([&](std::size_t k) {
       DeltaSigmaModulator& lane = *lanes_[k];
       PinkNoise& flicker = src == kFl1 ? lane.flicker1_ : lane.flicker2_;
-      return Fill{&flicker.noise_stream(), flicker_raw_.data() + k * kFrame,
+      return Fill{&flicker.noise_stream(), lane.plan_of_(src),
                   lane.source_on_[src] ? frame : 0};
     });
     for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
       DeltaSigmaModulator& lane = *lanes_[fill_lanes_[j]];
-      double* plan = lane.plan_of_(src);
+      double* plan = fill_dests_[j];
       (src == kFl1 ? lane.flicker1_ : lane.flicker2_)
-          .fill_next_from(fill_dests_[j], plan, frame);
+          .fill_next_from(plan, plan, frame);
       lane.scale_flicker_(
           plan, src == kFl1 ? lane.flicker_scale1_ : lane.flicker_scale2_, frame);
     }
@@ -371,17 +345,6 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f,
   const std::size_t frames = (n + kFrame - 1) / kFrame;
   packed_lane_frames_->add(n_wide * width_ * frames);
   narrow_lane_frames_->add((views_.size() - n_wide) * frames);
-}
-
-void ModulatorBank::step_capacitive_block(const double* c_sense_f, int* bits_out,
-                                          std::size_t n) {
-  // Mirror DeltaSigmaModulator::step_capacitive(c_sense): the reference
-  // branch is each lane's configured on-chip capacitor with its die mismatch.
-  std::vector<double> c_ref(lanes_.size());
-  for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    c_ref[k] = lanes_[k]->config_.c_ref_f * lanes_[k]->ref_mismatch_;
-  }
-  step_capacitive_block(c_sense_f, c_ref.data(), bits_out, n);
 }
 
 void ModulatorBank::set_lane_enabled(std::size_t k, bool enabled) {

@@ -86,11 +86,6 @@ class ModulatorBank {
   void step_capacitive_block(const double* c_sense_f, const double* c_ref_f,
                              int* bits_out, std::size_t n);
 
-  /// Per-lane variant against each lane's configured on-chip reference
-  /// branch (mirrors DeltaSigmaModulator::step_capacitive(c_sense)).
-  void step_capacitive_block(const double* c_sense_f, int* bits_out,
-                             std::size_t n);
-
   void reset();
 
   /// Fault masking (a dead array element mid-run): a disabled lane drops out
@@ -149,10 +144,6 @@ class ModulatorBank {
     alignas(64) std::array<double, bankkernel::kNumSource * kPlanStride> noise{};
 
     std::array<int*, kMaxW> bits{};  ///< per-slot output cursor (per frame)
-
-    /// AVX2 packet with all four shared sources: its shared plans come from
-    /// fuse_shared4_avx2 instead of per-lane build_shared_plan_ calls.
-    bool fuse4{false};
     std::size_t frame_len{0};  ///< current frame length (metastable resync)
     ModulatorBank* owner{nullptr};
   };
@@ -217,8 +208,7 @@ class ModulatorBank {
   std::vector<std::size_t> lane_slot_;    ///< slot within that packet
 
   // Batched-fill scratch (sized with the lanes).
-  std::vector<double> shared_raw_;            ///< lanes × 4·kFrame normals
-  std::vector<double> flicker_raw_;           ///< lanes × kFrame normals
+  std::vector<double> shared_raw_;            ///< lanes × 2·kFrame normals
   std::vector<Rng*> fill_rngs_;
   std::vector<double*> fill_dests_;
   std::vector<std::size_t> fill_ns_;

@@ -71,45 +71,6 @@ void run_packets_avx2(PacketView* packets, std::size_t n_packets,
   run_packets<VecAvx2>(packets, n_packets, n_clocks);
 }
 
-void fuse_shared4_avx2(const SharedFuseJob& job, std::size_t n_clocks) {
-  const __m256d su = _mm256_loadu_pd(job.sigma_u);
-  const __m256d rv = _mm256_loadu_pd(job.ref_vrms);
-  const __m256d vref = _mm256_loadu_pd(job.vref);
-  const __m256d o1 = _mm256_loadu_pd(job.op1_vrms);
-  const __m256d o2 = _mm256_loadu_pd(job.op2_vrms);
-  const __m256d sc = _mm256_loadu_pd(job.scale);
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < n_clocks; ++i) {
-    // Row w = lane w's four draws for this clock: [ktc, ref, op1, op2].
-    const __m256d r0 = _mm256_loadu_pd(job.raw[0] + 4 * i);
-    const __m256d r1 = _mm256_loadu_pd(job.raw[1] + 4 * i);
-    const __m256d r2 = _mm256_loadu_pd(job.raw[2] + 4 * i);
-    const __m256d r3 = _mm256_loadu_pd(job.raw[3] + 4 * i);
-    // 4×4 transpose: column s = source s's draw across the four lanes.
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    const __m256d ktc = _mm256_permute2f128_pd(t0, t2, 0x20);
-    const __m256d ref = _mm256_permute2f128_pd(t1, t3, 0x20);
-    const __m256d op1 = _mm256_permute2f128_pd(t0, t2, 0x31);
-    const __m256d op2 = _mm256_permute2f128_pd(t1, t3, 0x31);
-    // Draw-site expressions verbatim (the 0.0 + turns −0.0 products into
-    // +0.0, exactly like the scalar mean addition).
-    _mm256_storeu_pd(job.ktc + 4 * i,
-                     _mm256_add_pd(zero, _mm256_mul_pd(su, ktc)));
-    _mm256_storeu_pd(
-        job.ref + 4 * i,
-        _mm256_div_pd(_mm256_add_pd(zero, _mm256_mul_pd(rv, ref)), vref));
-    _mm256_storeu_pd(
-        job.op1 + 4 * i,
-        _mm256_div_pd(_mm256_add_pd(zero, _mm256_mul_pd(o1, op1)), sc));
-    _mm256_storeu_pd(
-        job.op2 + 4 * i,
-        _mm256_div_pd(_mm256_add_pd(zero, _mm256_mul_pd(o2, op2)), sc));
-  }
-}
-
 }  // namespace tono::analog::bankkernel
 
 #endif  // TONO_SIMD_AVX2

@@ -36,16 +36,11 @@ double PinkNoise::next() noexcept {
 
 void PinkNoise::fill_next(double* dest, std::size_t n) noexcept {
   // next() consumes exactly one Gaussian per sample regardless of state, so
-  // the draws bulk-generate; the replay of the row updates lives in
-  // fill_next_from (shared with the bank's batched-draw path).
-  double draws[kFillChunk];
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t chunk = std::min(n - done, kFillChunk);
-    rng_.fill_gaussian(draws, chunk);
-    fill_next_from(draws, dest + done, chunk);
-    done += chunk;
-  }
+  // the draws bulk-generate into dest; fill_next_from (shared with the
+  // bank's batched-draw path) replays the row updates in place, reading
+  // draw j before it writes sample j.
+  rng_.fill_gaussian(dest, n);
+  fill_next_from(dest, dest, n);
 }
 
 void PinkNoise::fill_next_from(const double* draws, double* dest,

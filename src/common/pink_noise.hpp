@@ -33,9 +33,9 @@ class PinkNoise {
   /// fill_next with the n bulk Gaussians already drawn from noise_stream()
   /// by the caller (the ModulatorBank batches the draws of a whole lane
   /// packet into one Rng::fill_gaussian_multi call). Because next() consumes
-  /// exactly one Gaussian per sample and fill_gaussian is chunk-invariant,
-  /// [fill_gaussian(draws, n); fill_next_from(draws, dest, n)] is
-  /// bit-identical to fill_next(dest, n) — pinned by test_rng.cpp.
+  /// exactly one Gaussian per sample, [fill_gaussian(draws, n);
+  /// fill_next_from(draws, dest, n)] is bit-identical to fill_next(dest, n).
+  /// `draws` may alias `dest`.
   void fill_next_from(const double* draws, double* dest, std::size_t n) noexcept;
 
   /// The generator's own Gaussian stream, exposed for the batched fill path
@@ -54,8 +54,6 @@ class PinkNoise {
 
  private:
   static constexpr std::size_t kMaxOctaves = 24;
-  /// Stack chunk for fill_next's bulk Gaussian draws (one modulator frame).
-  static constexpr std::size_t kFillChunk = 128;
   Rng rng_;
   std::size_t octaves_;
   std::array<double, kMaxOctaves> rows_{};

@@ -1,30 +1,27 @@
-// gauss_log.hpp — a pinned, vectorizable natural log for the Gaussian
-// polar method.
+// pinned_log.hpp — a pinned, vectorizable natural log for the random draw
+// paths.
 //
-// The factor sqrt(-2·log(s)/s) is the one transcendental in Rng's Gaussian
-// path. libm's log carries no cross-implementation bit guarantee and cannot
-// be mirrored lane-for-lane in a SIMD kernel, so the batched fills behind
-// the vectorized ModulatorBank would break the "bank lane == solo modulator"
-// contract at the first 1-ulp libm divergence. This header pins the
-// implementation instead: a double-precision port of the ARM
-// optimized-routines log (the MIT-licensed algorithm glibc ≥ 2.28 and musl
-// ship), used by *every* polar-method draw site — the scalar fill, the
-// spare-pair path, and the AVX2/NEON batched fills — so scalar and vector
-// agree by construction, on any libc.
+// Every transcendental in Rng's draw paths is this one log: the ziggurat's
+// wedge test and tail (src/common/ziggurat.hpp) and Rng::exponential. libm's
+// log carries no cross-implementation bit guarantee and cannot be mirrored
+// lane-for-lane in a SIMD kernel, so a libm call would break the "bank lane
+// == solo modulator" and "gcc == clang == every SIMD dispatch" contracts at
+// the first 1-ulp libm divergence. This header pins the implementation
+// instead: a double-precision port of the ARM optimized-routines log (the
+// MIT-licensed algorithm glibc ≥ 2.28 and musl ship), so every draw agrees
+// bit for bit on any libc.
 //
 // Structure (mirrors upstream log.c exactly):
 //   * main path: x = 2^k·z, z in [0x1.6p-1, 0x1.6p0) split into 128
 //     subintervals; r = fma(z, invc, -1), log(x) = k·ln2 + log(c) +
-//     log1p(r) via a degree-5 polynomial. One table gather + one fma —
-//     everything a vector lane can reproduce exactly (fma is correctly
+//     log1p(r) via a degree-5 polynomial. One table lookup + one fma —
+//     everything a vector lane could reproduce exactly (fma is correctly
 //     rounded by definition, the rest is elementwise IEEE arithmetic, and
 //     the repo-global -ffp-contract=off stops the compiler from fusing
 //     anything further).
 //   * near-1 path (|x−1| ≲ 2^-4): table-free higher-degree polynomial with
-//     a split-compensation tail. Vector callers route these lanes (≈6% of
-//     accepted polar radii) through this scalar function.
-//   * zero/negative/inf/nan/subnormal: upstream semantics, kept for
-//     robustness although polar radii are always normal and in (0, 1).
+//     a split-compensation tail.
+//   * zero/negative/inf/nan/subnormal: upstream semantics.
 // Worst-case error ≈ 0.52 ulp (upstream analysis); verified here against
 // this platform's libm to agree to the last bit on > 99.999% of uniform
 // draws (the remainder differ by 1 ulp — see test_simd.cpp).
@@ -35,7 +32,7 @@
 #include <cstdint>
 #include <limits>
 
-namespace tono::gausslog {
+namespace tono::pinned {
 
 inline constexpr int kTableBits = 7;
 inline constexpr std::uint64_t kOff = 0x3fe6000000000000ULL;
@@ -43,12 +40,10 @@ inline constexpr std::uint64_t kOff = 0x3fe6000000000000ULL;
 inline constexpr std::uint64_t kNear1Lo = 0x3FEE000000000000ULL;
 inline constexpr std::uint64_t kNear1Hi = 0x3FF0900000000000ULL;
 
-#include "src/common/gauss_log_data.inc"
+#include "src/common/pinned_log_data.inc"
 
-/// log(x), bit-identical between this scalar form and the SIMD kernels
-/// that mirror it (rng_avx2.cpp). Near-1 and non-normal inputs always take
-/// the scalar branches below; vector callers blend these lanes in.
-[[nodiscard]] inline double polar_log(double x) noexcept {
+/// log(x), bit-identical on every compiler, libc and SIMD dispatch.
+[[nodiscard]] inline double log(double x) noexcept {
   std::uint64_t ix = std::bit_cast<std::uint64_t>(x);
   const std::uint32_t top = static_cast<std::uint32_t>(ix >> 48);
   if (ix - kNear1Lo < kNear1Hi - kNear1Lo) [[unlikely]] {
@@ -95,8 +90,7 @@ inline constexpr std::uint64_t kNear1Hi = 0x3FF0900000000000ULL;
   const double invc = kLogTab[2 * i];
   const double logc = kLogTab[2 * i + 1];
   const double z = std::bit_cast<double>(iz);
-  // r ~= z/c - 1, |r| < 1/256; the single fma the vector kernel mirrors
-  // with vfmadd.
+  // r ~= z/c - 1, |r| < 1/256.
   const double r = std::fma(z, invc, -1.0);
   const double kd = static_cast<double>(k);
   const double w = kd * kLn2Hi + logc;
@@ -108,11 +102,4 @@ inline constexpr std::uint64_t kNear1Hi = 0x3FF0900000000000ULL;
          hi;
 }
 
-/// The polar-method factor sqrt(-2·log(s)/s), the exact expression every
-/// Gaussian draw site shares (scalar and vector — sqrt and division are
-/// correctly rounded elementwise, so only the log needed pinning).
-[[nodiscard]] inline double polar_factor(double s) noexcept {
-  return std::sqrt(-2.0 * polar_log(s) / s);
-}
-
-}  // namespace tono::gausslog
+}  // namespace tono::pinned

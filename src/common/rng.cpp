@@ -1,10 +1,9 @@
 #include "src/common/rng.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/checkpoint.hpp"
-#include "src/common/gauss_log.hpp"
+#include "src/common/pinned_log.hpp"
 #include "src/common/simd.hpp"
 
 namespace tono {
@@ -43,37 +42,36 @@ std::uint64_t Rng::uniform_below(std::uint64_t n) noexcept {
   }
 }
 
-double Rng::gaussian_pair_() noexcept {
-  double u = 0.0;
-  double v = 0.0;
-  double s = 0.0;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  // gausslog::polar_factor, not libm: the SIMD batched fills must reproduce
-  // this factor bit-exactly, which libm's log does not guarantee.
-  const double factor = gausslog::polar_factor(s);
-  spare_gaussian_ = v * factor;
-  has_spare_gaussian_ = true;
-  return u * factor;
+double Rng::gaussian_slow_(std::uint64_t u) noexcept {
+  using namespace ziggurat;
+  for (;;) {
+    const std::uint64_t layer = u & kLayerMask;
+    const double x = magnitude(u);
+    if (x < kX[layer + 1]) return with_sign(x, u);
+    if (layer == 0) {
+      // Beyond R: Marsaglia's exponential-rejection tail. 1 − uniform() is
+      // in (0, 1], so both logs are finite.
+      double t = 0.0;
+      double y = 0.0;
+      do {
+        t = -pinned::log(1.0 - uniform()) / kX[1];
+        y = -pinned::log(1.0 - uniform());
+      } while (!(2.0 * y > t * t));
+      return with_sign(kX[1] + t, u);
+    }
+    // Wedge: y uniform over the layer's height, accepted under the curve.
+    const double y = kF[layer] + uniform() * (kF[layer + 1] - kF[layer]);
+    if (pinned::log(y) < -0.5 * x * x) return with_sign(x, u);
+    u = next_u64();
+  }
 }
 
 void Rng::fill_gaussian(double* dest, std::size_t n) noexcept {
-  // Same polar-method draws as gaussian(), restructured so the xoshiro state
-  // lives in locals for the whole fill and each rejection loop emits both
-  // pair values directly (the per-call spare-cache branch disappears).
-  // Every expression below matches the scalar path operation-for-operation;
-  // fill_gaussian's bit-identity to a scalar loop is pinned by test_rng.cpp.
-  std::size_t i = 0;
-  if (i < n && has_spare_gaussian_) {
-    has_spare_gaussian_ = false;
-    dest[i++] = spare_gaussian_;
-  }
+  // gaussian() with the xoshiro state in locals for the whole fill; a draw
+  // that misses the fast path hands the state back for the rare paths.
   std::array<std::uint64_t, 4> s = state_;
-  const auto next_local = [&s]() noexcept {
-    const std::uint64_t result = rotl_(s[0] + s[3], 23) + s[0];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t u = rotl_(s[0] + s[3], 23) + s[0];
     const std::uint64_t t = s[1] << 17;
     s[2] ^= s[0];
     s[3] ^= s[1];
@@ -81,29 +79,14 @@ void Rng::fill_gaussian(double* dest, std::size_t n) noexcept {
     s[0] ^= s[3];
     s[2] ^= t;
     s[3] = rotl_(s[3], 45);
-    return result;
-  };
-  // uniform(-1, 1) as gaussian_pair_ computes it: lo + (hi - lo) * uniform().
-  const auto uniform_pm1 = [&next_local]() noexcept {
-    return -1.0 + 2.0 * (static_cast<double>(next_local() >> 11) * 0x1.0p-53);
-  };
-  while (i < n) {
-    double u = 0.0;
-    double v = 0.0;
-    double sq = 0.0;
-    do {
-      u = uniform_pm1();
-      v = uniform_pm1();
-      sq = u * u + v * v;
-    } while (sq >= 1.0 || sq == 0.0);
-    const double factor = gausslog::polar_factor(sq);
-    dest[i++] = u * factor;
-    if (i < n) {
-      dest[i++] = v * factor;
-    } else {
-      spare_gaussian_ = v * factor;
-      has_spare_gaussian_ = true;
+    const double x = ziggurat::magnitude(u);
+    if (ziggurat::inside(u, x)) [[likely]] {
+      dest[i] = ziggurat::with_sign(x, u);
+      continue;
     }
+    state_ = s;
+    dest[i] = gaussian_slow_(u);
+    s = state_;
   }
   state_ = s;
 }
@@ -126,56 +109,20 @@ void Rng::fill_gaussian_multi(Rng* const* rngs, double* const* dests,
   constexpr std::size_t kGroup = 1;
 #endif
   if constexpr (kGroup > 1) {
-    // Worth a vector group only when every member still has a meaningful
-    // fill ahead after its pending spare (below that, the setup + the
-    // post-first-finisher scalar tails dominate).
-    constexpr std::size_t kMinVectorFill = 8;
+    // Every stream yields one value per vector round, so a group runs its
+    // shortest fill in the vector phase and each stream's remainder scalar.
     const bool simd_on = simd::level_width(simd::active_level()) >= kGroup;
-    while (simd_on && done + kGroup <= k) {
-      Rng* group_rngs[kGroup];
-      double* group_dests[kGroup];
-      std::size_t pos[kGroup];
-      std::size_t group_ns[kGroup];
-      bool viable = true;
-      for (std::size_t w = 0; w < kGroup; ++w) {
-        Rng* rng = rngs[done + w];
-        double* dest = dests[done + w];
-        std::size_t n = ns[done + w];
-        std::size_t at = 0;
-        // Pending spare becomes dest[0], exactly as fill_gaussian's entry.
-        if (at < n && rng->has_spare_gaussian_) {
-          rng->has_spare_gaussian_ = false;
-          dest[at++] = rng->spare_gaussian_;
-        }
-        group_rngs[w] = rng;
-        group_dests[w] = dest;
-        pos[w] = at;
-        group_ns[w] = n;
-        if (n - at < kMinVectorFill) viable = false;
-      }
-      if (!viable) {
-        // Spares are already emitted; the scalar fill continues from `pos`.
-        for (std::size_t w = 0; w < kGroup; ++w) {
-          group_rngs[w]->fill_gaussian(group_dests[w] + pos[w],
-                                       group_ns[w] - pos[w]);
-        }
-        done += kGroup;
-        continue;
-      }
+    for (; simd_on && done + kGroup <= k; done += kGroup) {
+      std::size_t m = ns[done];
+      for (std::size_t w = 1; w < kGroup; ++w) m = std::min(m, ns[done + w]);
 #if defined(TONO_SIMD_AVX2)
-      fill_gaussian_x4_avx2_(group_rngs, group_dests, pos, group_ns);
+      fill_gaussian_x4_avx2_(rngs + done, dests + done, m);
 #elif defined(TONO_SIMD_NEON)
-      fill_gaussian_x2_neon_(group_rngs, group_dests, pos, group_ns);
+      fill_gaussian_x2_neon_(rngs + done, dests + done, m);
 #endif
-      // Rejection rates differ per stream, so the vector phase stops when
-      // the first stream completes; the rest finish scalar.
       for (std::size_t w = 0; w < kGroup; ++w) {
-        if (pos[w] < group_ns[w]) {
-          group_rngs[w]->fill_gaussian(group_dests[w] + pos[w],
-                                       group_ns[w] - pos[w]);
-        }
+        rngs[done + w]->fill_gaussian(dests[done + w] + m, ns[done + w] - m);
       }
-      done += kGroup;
     }
   }
   for (; done < k; ++done) rngs[done]->fill_gaussian(dests[done], ns[done]);
@@ -183,7 +130,7 @@ void Rng::fill_gaussian_multi(Rng* const* rngs, double* const* dests,
 
 double Rng::exponential(double lambda) noexcept {
   // 1 - uniform() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - uniform()) / lambda;
+  return -pinned::log(1.0 - uniform()) / lambda;
 }
 
 Rng Rng::fork(std::uint64_t salt) noexcept {
@@ -195,15 +142,17 @@ Rng Rng::fork_named(std::string_view name) noexcept { return fork(fnv1a(name)); 
 void Rng::serialize(CheckpointWriter& out) const {
   out.section("rng");
   for (std::uint64_t word : state_) out.u64(word);
-  out.f64(spare_gaussian_);
-  out.boolean(has_spare_gaussian_);
 }
 
 void Rng::restore(CheckpointReader& in) {
   in.section("rng");
-  for (auto& word : state_) word = in.u64();
-  spare_gaussian_ = in.f64();
-  has_spare_gaussian_ = in.boolean();
+  std::array<std::uint64_t, 4> state{};
+  for (auto& word : state) word = in.u64();
+  if (state == std::array<std::uint64_t, 4>{}) {
+    // xoshiro's one fixed point: every later draw would be 0.
+    throw CheckpointError{"Rng checkpoint holds the all-zero xoshiro state"};
+  }
+  state_ = state;
 }
 
 }  // namespace tono

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "src/common/ziggurat.hpp"
+
 namespace tono {
 
 class CheckpointReader;
@@ -62,13 +64,13 @@ class Rng {
   /// Uniform integer in [0, n). n must be > 0.
   [[nodiscard]] std::uint64_t uniform_below(std::uint64_t n) noexcept;
 
-  /// Standard normal draw (Marsaglia polar method; caches the spare value).
+  /// Standard normal draw (256-layer ziggurat, src/common/ziggurat.hpp).
+  /// Inline: the fast path is one raw draw, a table lookup and a compare.
   [[nodiscard]] double gaussian() noexcept {
-    if (has_spare_gaussian_) {
-      has_spare_gaussian_ = false;
-      return spare_gaussian_;
-    }
-    return gaussian_pair_();
+    const std::uint64_t u = next_u64();
+    const double x = ziggurat::magnitude(u);
+    if (ziggurat::inside(u, x)) [[likely]] return ziggurat::with_sign(x, u);
+    return gaussian_slow_(u);
   }
 
   /// Normal draw with given mean and standard deviation.
@@ -78,14 +80,13 @@ class Rng {
 
   /// Fills dest[0..n) with the bit-identical sequence that n sequential
   /// gaussian() calls would produce, and leaves this generator in the
-  /// bit-identical end state — including the spare-value cache: a spare
-  /// pending on entry becomes dest[0], and an odd tail leaves the pair's
-  /// second value cached for the next draw (bulk or scalar).
+  /// bit-identical end state. A draw carries nothing over to the next, so
+  /// fills split into chunks of any size give the same values.
   ///
   /// Exists because the ΔΣ modulator's per-clock draw count is fixed by its
   /// config, so a whole output frame of noise can be generated up front in
-  /// one tight loop (state in registers, no spare-cache branch per draw)
-  /// instead of interleaved with the loop recurrence.
+  /// one tight loop (state in registers) instead of interleaved with the
+  /// loop recurrence.
   void fill_gaussian(double* dest, std::size_t n) noexcept;
 
   /// Same, matching n sequential gaussian(mean, sigma) calls.
@@ -94,18 +95,15 @@ class Rng {
   /// Batched multi-stream fill: for each stream w in [0, k),
   /// `rngs[w]->fill_gaussian(dests[w], ns[w])` — same destination bits, same
   /// end state per stream — but executed together so the independent xoshiro
-  /// advances and polar-method uniforms vectorize across streams (one SIMD
-  /// lane per stream; see rng_avx2.cpp). The transcendental tail of each
-  /// accepted pair (std::log / std::sqrt) stays scalar per stream, which is
-  /// what keeps every lane bit-identical to its solo fill: libm functions
-  /// carry no vector-width reproducibility guarantee, elementwise IEEE
-  /// arithmetic does.
+  /// advances and the ziggurat's fast path vectorize across streams (one SIMD
+  /// lane per stream; see rng_avx2.cpp). A lane that misses the fast path
+  /// finishes its draw through the scalar rare paths, on its own stream, so
+  /// every lane stays bit-identical to its solo fill.
   ///
   /// The streams must be distinct Rng objects. Falls back to per-stream
   /// scalar fills when no SIMD kernel is active (simd::active_level()), when
-  /// k doesn't fill a vector, and for each stream's tail once the first
-  /// stream of a vector group runs out (streams consume draws at different
-  /// rejection rates).
+  /// k doesn't fill a vector, and for each stream's draws beyond the
+  /// shortest fill of its vector group.
   ///
   /// This is the ModulatorBank's frame-fill primitive: one call per noise
   /// source group per frame for a whole lane packet.
@@ -127,10 +125,10 @@ class Rng {
   /// as salt). Lets each circuit block own `rng.fork_named("comparator")`.
   [[nodiscard]] Rng fork_named(std::string_view name) noexcept;
 
-  /// Checkpointing (src/common/checkpoint.hpp): the full stream position —
-  /// the 256-bit xoshiro state *and* the Marsaglia spare cache, so a stream
-  /// suspended between the two halves of a Gaussian pair resumes with the
-  /// cached spare, bit-identical to never having stopped.
+  /// Checkpointing (src/common/checkpoint.hpp): the 256-bit xoshiro state,
+  /// which is the whole stream position. restore() throws CheckpointError on
+  /// the all-zero state, which xoshiro never leaves (and seeding never
+  /// produces).
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 
@@ -139,26 +137,21 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  /// Slow path of gaussian(): runs one polar-method rejection loop and
-  /// stores the spare value.
-  double gaussian_pair_() noexcept;
+  /// gaussian()'s rare paths, entered with the raw draw `u` whose fast-path
+  /// candidate missed: the tail, the wedge test and, on a wedge rejection,
+  /// fresh draws until one is accepted.
+  double gaussian_slow_(std::uint64_t u) noexcept;
 
   /// Vector phase of fill_gaussian_multi for one 4-stream group (defined in
   /// rng_avx2.cpp, compiled with -mavx2, called only behind the runtime
-  /// dispatch check). Advances pos[w] toward ns[w] and updates each stream's
-  /// state/spare; returns with at least one stream complete. Callers finish
-  /// the remaining tails with scalar fill_gaussian.
+  /// dispatch check): fills dests[w][0..n) and advances each stream.
   static void fill_gaussian_x4_avx2_(Rng* const* rngs, double* const* dests,
-                                     std::size_t* pos,
-                                     const std::size_t* ns) noexcept;
+                                     std::size_t n) noexcept;
   /// NEON twin for one 2-stream group (rng_neon.cpp).
   static void fill_gaussian_x2_neon_(Rng* const* rngs, double* const* dests,
-                                     std::size_t* pos,
-                                     const std::size_t* ns) noexcept;
+                                     std::size_t n) noexcept;
 
   std::array<std::uint64_t, 4> state_{};
-  double spare_gaussian_{0.0};
-  bool has_spare_gaussian_{false};
 };
 
 }  // namespace tono

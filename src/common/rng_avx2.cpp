@@ -2,53 +2,25 @@
 //
 // Four independent xoshiro256++ streams advance in lockstep, one per 64-bit
 // SIMD lane (state stored word-major: vector j holds state_[j] of all four
-// streams). Each polar-method attempt draws two uniforms per stream — also
-// exactly what the scalar rejection loop consumes per iteration, accepted or
-// not — so every stream's draw sequence is position-identical to its solo
-// fill_gaussian.
-//
-// Exactness argument, piece by piece:
-//   * xoshiro256++ is pure 64-bit integer arithmetic — identical by
-//     definition.
-//   * (double)(u64 >> 11): the value is < 2^53, converted exactly via the
-//     split lo32/hi21 + 2^52 bias trick; every intermediate (hi·2^32, the
-//     final sum) is an integer below 2^53 and therefore exact, so the result
-//     equals the scalar static_cast bit-for-bit.
-//   * -1.0 + 2.0 * (d * 0x1.0p-53): same three operations in the same order
-//     as fill_gaussian's uniform_pm1; vmulpd/vaddpd are correctly rounded
-//     elementwise, so each lane rounds exactly as the scalar expression.
-//   * u*u + v*v and the rejection compares (s >= 1.0 || s == 0.0, evaluated
-//     as accept = s < 1.0 && s != 0.0): elementwise IEEE, no contraction
+// streams). Each round draws one raw word per stream and runs the ziggurat's
+// fast path (ziggurat.hpp) on all four:
+//   * xoshiro256++, the layer index, the sign bit and the 1.m − 1 uniform
+//     are integer bit operations plus one exact subtraction — identical by
+//     definition;
+//   * the two table lookups are gathers of the same doubles;
+//   * the multiply and the inner-rectangle compare are elementwise IEEE
 //     (this TU is compiled with the repo-global -ffp-contract=off, and
 //     intrinsics never contract).
-//   * factor = sqrt(-2·log(s)/s): the log is gausslog::polar_log — the
-//     repo-pinned port whose main path is one table gather, one fma, and a
-//     polynomial of elementwise IEEE ops, mirrored below vector-op-for-
-//     scalar-op (vfmadd where the scalar uses std::fma, mul/add/sub/div/
-//     sqrt correctly rounded lane-wise). Lanes polar_log would route to its
-//     scalar branches — radii within 2^-4 of 1.0 (~6% of accepted pairs)
-//     or non-normal — are recomputed with the scalar function, so every
-//     emitted value is bit-identical to the solo fill by construction.
-//     Rejected lanes ride along through the vector math and are discarded.
-//
-// The emission is branchless: every round stores both pair values for all
-// four lanes unconditionally and advances each cursor by 2·accept — a
-// rejected lane's garbage store sits below its cursor and is overwritten by
-// the next accepted pair (or by the scalar tail). Acceptance is a coin flip
-// the branch predictor cannot learn, so trading four unpredictable branches
-// per round for eight cheap stores is a large win. The phase exits as soon
-// as any stream has fewer than two slots left (the unconditional pair store
-// needs the headroom); fill_gaussian_multi finishes every stream's tail —
-// including the possible final odd value and spare — with the scalar fill,
-// which is bit-identical by the multi == solo contract.
+// A lane that misses the fast path (1.5% of draws) finishes its draw on its
+// own stream through the scalar rare paths (Rng::gaussian_slow_), exactly
+// where its solo fill would, so every stream yields one value per round and
+// every value is bit-identical to the solo fill by construction.
 #if defined(TONO_SIMD_AVX2)
 
 #include <immintrin.h>
 
-#include <cmath>
 #include <cstdint>
 
-#include "src/common/gauss_log.hpp"
 #include "src/common/rng.hpp"
 
 namespace tono {
@@ -58,95 +30,28 @@ inline __m256i rotl64(__m256i x, int k) noexcept {
   return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
 }
 
-/// Exact (double)x for x < 2^53, elementwise.
-inline __m256d u64_to_f64_exact(__m256i x) noexcept {
-  const __m256i bias = _mm256_set1_epi64x(0x4330000000000000ll);  // bits of 2^52
-  const __m256d bias_d = _mm256_set1_pd(0x1.0p52);
-  const __m256i lo32 = _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFFFFFFll));
-  const __m256i hi21 = _mm256_srli_epi64(x, 32);
-  const __m256d lo = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(lo32, bias)), bias_d);
-  const __m256d hi = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(hi21, bias)), bias_d);
-  return _mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1.0p32)), lo);
-}
-
-/// gausslog::polar_log's main path on four lanes, plus a lane mask for
-/// inputs the scalar function would route to its near-1 / non-normal
-/// branches (those lanes' results here are meaningless and must be
-/// recomputed scalar). Inputs are polar radii: finite, sign bit clear, so
-/// signed 64-bit compares on the raw bits are safe.
-inline __m256d polar_log4(__m256d x, int* scalar_lanes) noexcept {
-  using namespace gausslog;
-  const __m256i ix = _mm256_castpd_si256(x);
-  const __m256i near1 = _mm256_and_si256(
-      _mm256_cmpgt_epi64(ix, _mm256_set1_epi64x(static_cast<long long>(kNear1Lo) - 1)),
-      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(kNear1Hi)), ix));
-  const __m256i tiny = _mm256_cmpgt_epi64(
-      _mm256_set1_epi64x(0x0010000000000000ll), ix);  // zero / subnormal
-  *scalar_lanes = _mm256_movemask_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(near1, tiny)));
-
-  const __m256i tmp = _mm256_sub_epi64(ix, _mm256_set1_epi64x(
-                                               static_cast<long long>(kOff)));
-  const __m256i idx2 = _mm256_slli_epi64(
-      _mm256_and_si256(_mm256_srli_epi64(tmp, 52 - kTableBits),
-                       _mm256_set1_epi64x((1 << kTableBits) - 1)),
-      1);
-  // k = (int64)tmp >> 52: logical shift then sign-extend the 12-bit field
-  // (AVX2 has no 64-bit arithmetic shift).
-  const __m256i k = _mm256_sub_epi64(
-      _mm256_xor_si256(_mm256_srli_epi64(tmp, 52), _mm256_set1_epi64x(0x800)),
-      _mm256_set1_epi64x(0x800));
-  const __m256i iz = _mm256_sub_epi64(
-      ix, _mm256_and_si256(tmp, _mm256_set1_epi64x(0xfffll << 52)));
-  const __m256d invc = _mm256_i64gather_pd(kLogTab, idx2, 8);
-  const __m256d logc = _mm256_i64gather_pd(kLogTab + 1, idx2, 8);
-  const __m256d z = _mm256_castsi256_pd(iz);
-  const __m256d r = _mm256_fmadd_pd(z, invc, _mm256_set1_pd(-1.0));
-  // Exact int64 → double for |k| ≤ 2047 via the 2^52+2^51 bias trick.
-  const __m256d kd = _mm256_sub_pd(
-      _mm256_castsi256_pd(
-          _mm256_add_epi64(k, _mm256_set1_epi64x(0x4338000000000000ll))),
-      _mm256_set1_pd(0x1.8p52));
-  // Same association as the scalar: w = kd*Ln2hi + logc; hi = w + r;
-  // lo = ((w - hi) + r) + kd*Ln2lo.
-  const __m256d w =
-      _mm256_add_pd(_mm256_mul_pd(kd, _mm256_set1_pd(kLn2Hi)), logc);
-  const __m256d hi = _mm256_add_pd(w, r);
-  const __m256d lo = _mm256_add_pd(
-      _mm256_add_pd(_mm256_sub_pd(w, hi), r),
-      _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo)));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  // p = (A1 + r*A2) + r2*(A3 + r*A4); y = ((lo + r2*A0) + (r*r2)*p) + hi.
-  const __m256d p = _mm256_add_pd(
-      _mm256_add_pd(_mm256_set1_pd(kPolyA[1]),
-                    _mm256_mul_pd(r, _mm256_set1_pd(kPolyA[2]))),
-      _mm256_mul_pd(r2, _mm256_add_pd(_mm256_set1_pd(kPolyA[3]),
-                                      _mm256_mul_pd(r, _mm256_set1_pd(kPolyA[4])))));
-  return _mm256_add_pd(
-      _mm256_add_pd(
-          _mm256_add_pd(lo, _mm256_mul_pd(r2, _mm256_set1_pd(kPolyA[0]))),
-          _mm256_mul_pd(_mm256_mul_pd(r, r2), p)),
-      hi);
-}
-
 }  // namespace
 
 void Rng::fill_gaussian_x4_avx2_(Rng* const* rngs, double* const* dests,
-                                 std::size_t* pos,
-                                 const std::size_t* ns) noexcept {
+                                 std::size_t n) noexcept {
+  using namespace ziggurat;
   // Word-major SoA state: s[j] lane w = rngs[w]->state_[j].
-  __m256i s[4];
-  for (int j = 0; j < 4; ++j) {
-    s[j] = _mm256_set_epi64x(
-        static_cast<long long>(rngs[3]->state_[static_cast<std::size_t>(j)]),
-        static_cast<long long>(rngs[2]->state_[static_cast<std::size_t>(j)]),
-        static_cast<long long>(rngs[1]->state_[static_cast<std::size_t>(j)]),
-        static_cast<long long>(rngs[0]->state_[static_cast<std::size_t>(j)]));
+  alignas(32) std::uint64_t words[4][4];
+  for (std::size_t j = 0; j < 4; ++j) {
+    for (std::size_t w = 0; w < 4; ++w) words[j][w] = rngs[w]->state_[j];
   }
-  const auto next4 = [&s]() noexcept {
-    const __m256i result =
+  __m256i s[4];
+  for (std::size_t j = 0; j < 4; ++j) {
+    s[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[j]));
+  }
+  const __m256i layer_mask = _mm256_set1_epi64x(static_cast<long long>(kLayerMask));
+  const __m256i sign_bit = _mm256_set1_epi64x(static_cast<long long>(kSignBit));
+  const __m256i one_bits = _mm256_set1_epi64x(static_cast<long long>(kOneBits));
+  const __m256d one = _mm256_set1_pd(1.0);
+  alignas(32) double out[4];
+  alignas(32) std::uint64_t raw[4];
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m256i u =
         _mm256_add_epi64(rotl64(_mm256_add_epi64(s[0], s[3]), 23), s[0]);
     const __m256i t = _mm256_slli_epi64(s[1], 17);
     s[2] = _mm256_xor_si256(s[2], s[0]);
@@ -155,81 +60,41 @@ void Rng::fill_gaussian_x4_avx2_(Rng* const* rngs, double* const* dests,
     s[0] = _mm256_xor_si256(s[0], s[3]);
     s[2] = _mm256_xor_si256(s[2], t);
     s[3] = rotl64(s[3], 45);
-    return result;
-  };
-  // uniform(-1, 1) exactly as fill_gaussian's uniform_pm1 lambda.
-  const auto uniform_pm1x4 = [&next4]() noexcept {
-    const __m256d d = u64_to_f64_exact(_mm256_srli_epi64(next4(), 11));
-    return _mm256_add_pd(
-        _mm256_set1_pd(-1.0),
-        _mm256_mul_pd(_mm256_set1_pd(2.0),
-                      _mm256_mul_pd(d, _mm256_set1_pd(0x1.0p-53))));
-  };
 
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  // Loop invariant: every stream has ≥ 2 slots of headroom (guaranteed on
-  // entry by fill_gaussian_multi's kMinVectorFill), so the unconditional
-  // pair stores below never run past a buffer.
-  for (;;) {
-    const __m256d u = uniform_pm1x4();
-    const __m256d v = uniform_pm1x4();
-    const __m256d sq =
-        _mm256_add_pd(_mm256_mul_pd(u, u), _mm256_mul_pd(v, v));
-    // Rejection: while (sq >= 1.0 || sq == 0.0) → accept = sq < 1 && sq != 0.
-    const __m256d accept =
-        _mm256_and_pd(_mm256_cmp_pd(sq, one, _CMP_LT_OQ),
-                      _mm256_cmp_pd(sq, zero, _CMP_NEQ_OQ));
-    const int mask = _mm256_movemask_pd(accept);
-    if (mask == 0) continue;
-    // factor = sqrt(-2·log(sq)/sq) on all four lanes at once (rejected
-    // lanes produce garbage that is never read). Division and sqrt round
-    // correctly per lane, so only log's scalar-branch lanes need a redo.
-    int log_scalar_lanes = 0;
-    const __m256d y4 = polar_log4(sq, &log_scalar_lanes);
-    const __m256d factor4 = _mm256_sqrt_pd(
-        _mm256_div_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), y4), sq));
-    alignas(32) double uf[4];
-    alignas(32) double vf[4];
-    _mm256_store_pd(uf, _mm256_mul_pd(u, factor4));
-    _mm256_store_pd(vf, _mm256_mul_pd(v, factor4));
-    const int fix = mask & log_scalar_lanes;
-    if (fix != 0) [[unlikely]] {
-      // Accepted radii the pinned log routes to its scalar branches
-      // (near-1, ~6% of accepts): redo the pair with the scalar factor.
-      alignas(32) double ua[4];
-      alignas(32) double va[4];
-      alignas(32) double sa[4];
-      _mm256_store_pd(ua, u);
-      _mm256_store_pd(va, v);
-      _mm256_store_pd(sa, sq);
-      int m = fix;
-      do {
-        const auto w = static_cast<std::size_t>(
-            __builtin_ctz(static_cast<unsigned>(m)));
-        m &= m - 1;
-        const double factor = gausslog::polar_factor(sa[w]);
-        uf[w] = ua[w] * factor;
-        vf[w] = va[w] * factor;
-      } while (m != 0);
+    const __m256i layer = _mm256_and_si256(u, layer_mask);
+    const __m256d width = _mm256_i64gather_pd(kX, layer, 8);
+    const __m256d inner = _mm256_i64gather_pd(kX + 1, layer, 8);
+    const __m256d unit = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(u, 12), one_bits)),
+        one);
+    const __m256d x = _mm256_mul_pd(unit, width);
+    const int fast = _mm256_movemask_pd(_mm256_cmp_pd(x, inner, _CMP_LT_OQ));
+    _mm256_store_pd(
+        out, _mm256_or_pd(x, _mm256_castsi256_pd(_mm256_slli_epi64(
+                                 _mm256_and_si256(u, sign_bit), 55))));
+    if (fast != 0xF) [[unlikely]] {
+      // Hand each missing lane's stream to the scalar rare paths, then
+      // reload the (possibly further advanced) state.
+      _mm256_store_si256(reinterpret_cast<__m256i*>(raw), u);
+      for (std::size_t j = 0; j < 4; ++j) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(words[j]), s[j]);
+      }
+      for (std::size_t w = 0; w < 4; ++w) {
+        if ((fast >> w & 1) != 0) continue;
+        Rng& rng = *rngs[w];
+        for (std::size_t j = 0; j < 4; ++j) rng.state_[j] = words[j][w];
+        out[w] = rng.gaussian_slow_(raw[w]);
+        for (std::size_t j = 0; j < 4; ++j) words[j][w] = rng.state_[j];
+      }
+      for (std::size_t j = 0; j < 4; ++j) {
+        s[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[j]));
+      }
     }
-    bool exhausted = false;
-    for (std::size_t w = 0; w < 4; ++w) {
-      double* dest = dests[w] + pos[w];
-      dest[0] = uf[w];
-      dest[1] = vf[w];
-      pos[w] += 2 * (static_cast<unsigned>(mask) >> w & 1u);
-      exhausted |= pos[w] + 2 > ns[w];
-    }
-    if (exhausted) break;
+    for (std::size_t w = 0; w < 4; ++w) dests[w][i] = out[w];
   }
-  // Write every stream's advanced state back (completed or not): all four
-  // consumed the same number of raw draws, exactly as their scalar rejection
-  // loops would have at this point in their sequences.
-  alignas(32) std::uint64_t words[4];
   for (std::size_t j = 0; j < 4; ++j) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words), s[j]);
-    for (std::size_t w = 0; w < 4; ++w) rngs[w]->state_[j] = words[w];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words[j]), s[j]);
+    for (std::size_t w = 0; w < 4; ++w) rngs[w]->state_[j] = words[j][w];
   }
 }
 

@@ -3,17 +3,14 @@
 // Two independent xoshiro256++ streams per 128-bit vector, one per 64-bit
 // lane; the structure and the exactness argument are those of rng_avx2.cpp
 // (see the header comment there), with uint64x2_t / float64x2_t in place of
-// the 256-bit types. aarch64 has a native exact u64→f64 conversion
-// (vcvtq_f64_u64 rounds to nearest; inputs here are < 2^53, so it is exact),
-// which replaces the bias-trick of the x86 path.
+// the 256-bit types. NEON has no gather, so the two layer-table lookups per
+// lane are plain loads.
 #if defined(TONO_SIMD_NEON)
 
 #include <arm_neon.h>
 
-#include <cmath>
 #include <cstdint>
 
-#include "src/common/gauss_log.hpp"
 #include "src/common/rng.hpp"
 
 namespace tono {
@@ -27,16 +24,18 @@ inline uint64x2_t rotl64(uint64x2_t x) noexcept {
 }  // namespace
 
 void Rng::fill_gaussian_x2_neon_(Rng* const* rngs, double* const* dests,
-                                 std::size_t* pos,
-                                 const std::size_t* ns) noexcept {
+                                 std::size_t n) noexcept {
+  using namespace ziggurat;
   uint64x2_t s[4];
   for (std::size_t j = 0; j < 4; ++j) {
     const std::uint64_t words[2] = {rngs[0]->state_[j], rngs[1]->state_[j]};
     s[j] = vld1q_u64(words);
   }
-  const auto next2 = [&s]() noexcept {
-    const uint64x2_t result =
-        vaddq_u64(rotl64<23>(vaddq_u64(s[0], s[3])), s[0]);
+  const uint64x2_t sign_bit = vdupq_n_u64(kSignBit);
+  const uint64x2_t one_bits = vdupq_n_u64(kOneBits);
+  const float64x2_t one = vdupq_n_f64(1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const uint64x2_t u = vaddq_u64(rotl64<23>(vaddq_u64(s[0], s[3])), s[0]);
     const uint64x2_t t = vshlq_n_u64(s[1], 17);
     s[2] = veorq_u64(s[2], s[0]);
     s[3] = veorq_u64(s[3], s[1]);
@@ -44,47 +43,37 @@ void Rng::fill_gaussian_x2_neon_(Rng* const* rngs, double* const* dests,
     s[0] = veorq_u64(s[0], s[3]);
     s[2] = veorq_u64(s[2], t);
     s[3] = rotl64<45>(s[3]);
-    return result;
-  };
-  const auto uniform_pm1x2 = [&next2]() noexcept {
-    const float64x2_t d = vcvtq_f64_u64(vshrq_n_u64(next2(), 11));
-    return vaddq_f64(vdupq_n_f64(-1.0),
-                     vmulq_f64(vdupq_n_f64(2.0),
-                               vmulq_f64(d, vdupq_n_f64(0x1.0p-53))));
-  };
 
-  bool stream_done = false;
-  while (!stream_done) {
-    const float64x2_t u = uniform_pm1x2();
-    const float64x2_t v = uniform_pm1x2();
-    const float64x2_t sq = vaddq_f64(vmulq_f64(u, u), vmulq_f64(v, v));
-    const uint64x2_t not_zero = vreinterpretq_u64_u32(
-        vmvnq_u32(vreinterpretq_u32_u64(vceqq_f64(sq, vdupq_n_f64(0.0)))));
-    const uint64x2_t accept =
-        vandq_u64(vcltq_f64(sq, vdupq_n_f64(1.0)), not_zero);
-    std::uint64_t accept_lanes[2];
-    vst1q_u64(accept_lanes, accept);
-    double ua[2];
-    double va[2];
-    double sa[2];
-    vst1q_f64(ua, u);
-    vst1q_f64(va, v);
-    vst1q_f64(sa, sq);
-    for (std::size_t w = 0; w < 2; ++w) {
-      if (accept_lanes[w] == 0) continue;
-      const double factor = gausslog::polar_factor(sa[w]);
-      Rng* rng = rngs[w];
-      double* dest = dests[w];
-      dest[pos[w]++] = ua[w] * factor;
-      if (pos[w] < ns[w]) {
-        dest[pos[w]++] = va[w] * factor;
-        if (pos[w] == ns[w]) stream_done = true;
-      } else {
-        rng->spare_gaussian_ = va[w] * factor;
-        rng->has_spare_gaussian_ = true;
-        stream_done = true;
+    std::uint64_t raw[2];
+    vst1q_u64(raw, u);
+    const double width[2] = {kX[raw[0] & kLayerMask], kX[raw[1] & kLayerMask]};
+    const double inner[2] = {kX[(raw[0] & kLayerMask) + 1],
+                             kX[(raw[1] & kLayerMask) + 1]};
+    const float64x2_t unit = vsubq_f64(
+        vreinterpretq_f64_u64(vorrq_u64(vshrq_n_u64(u, 12), one_bits)), one);
+    const float64x2_t x = vmulq_f64(unit, vld1q_f64(width));
+    std::uint64_t fast[2];
+    vst1q_u64(fast, vcltq_f64(x, vld1q_f64(inner)));
+    double out[2];
+    vst1q_f64(out, vreinterpretq_f64_u64(vorrq_u64(
+                       vreinterpretq_u64_f64(x),
+                       vshlq_n_u64(vandq_u64(u, sign_bit), 55))));
+    if ((fast[0] & fast[1]) == 0) [[unlikely]] {
+      // Hand each missing lane's stream to the scalar rare paths, then
+      // reload the (possibly further advanced) state.
+      std::uint64_t words[4][2];
+      for (std::size_t j = 0; j < 4; ++j) vst1q_u64(words[j], s[j]);
+      for (std::size_t w = 0; w < 2; ++w) {
+        if (fast[w] != 0) continue;
+        Rng& rng = *rngs[w];
+        for (std::size_t j = 0; j < 4; ++j) rng.state_[j] = words[j][w];
+        out[w] = rng.gaussian_slow_(raw[w]);
+        for (std::size_t j = 0; j < 4; ++j) words[j][w] = rng.state_[j];
       }
+      for (std::size_t j = 0; j < 4; ++j) s[j] = vld1q_u64(words[j]);
     }
+    dests[0][i] = out[0];
+    dests[1][i] = out[1];
   }
   for (std::size_t j = 0; j < 4; ++j) {
     std::uint64_t words[2];

@@ -5,9 +5,8 @@
 // is restricted to operations that IEEE 754 defines exactly: elementwise
 // add/sub/mul/div/sqrt, comparisons and sign manipulation round identically
 // whether executed one lane at a time or four. Anything transcendental
-// (std::log in the Gaussian polar method, exp() in op-amp settling) stays
-// scalar — libm makes no cross-width reproducibility promise — and the
-// kernels call out of the vector for those lanes.
+// (the pinned log in the ziggurat's rare paths, exp() in op-amp settling)
+// stays scalar, and the kernels call out of the vector for those lanes.
 //
 // Dispatch model:
 //   * compiled_level(): the best kernel compiled into this binary. Gated by

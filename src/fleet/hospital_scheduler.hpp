@@ -81,7 +81,7 @@ struct HospitalConfig {
 
 /// Schema version of the whole-hospital checkpoint blob (embeds every
 /// shard's scheduler, session and ward sections).
-inline constexpr std::uint32_t kHospitalCheckpointVersion = 3;
+inline constexpr std::uint32_t kHospitalCheckpointVersion = 4;
 
 class HospitalScheduler {
  public:

@@ -42,7 +42,7 @@ namespace tono::fleet {
 /// Schema version of the PatientSession checkpoint blob. Bump whenever the
 /// serialized layout changes; CheckpointReader::require_version turns a
 /// stale blob into a loud CheckpointError instead of a silent misparse.
-inline constexpr std::uint32_t kSessionCheckpointVersion = 3;
+inline constexpr std::uint32_t kSessionCheckpointVersion = 4;
 
 /// Lifecycle of a session inside the scheduler (docs/FLEET.md):
 ///

@@ -1,7 +1,7 @@
 // Tests for checkpoint/restore (src/common/checkpoint.hpp and the
 // serialize/restore pairs layered on it): framing primitives, loud failure
 // on truncated/corrupted/mismatched blobs, mid-stream bit-identity of the
-// RNG (including the Marsaglia spare cache) and the pink-noise rows, and
+// RNG and the pink-noise rows, and
 // full PatientSession resume — clean, faulty and link-routed sessions all
 // continue bit-identically to never having stopped. The Checkpoint suite
 // runs under the CI TSan job.
@@ -130,9 +130,8 @@ TEST(Checkpoint, CorruptingAnyByteFailsLoudly) {
 
 TEST(Checkpoint, RngResumesMidMarsagliaBitIdentically) {
   Rng original{12345};
-  // Odd number of gaussian draws: the Marsaglia polar method generates
-  // pairs, so a spare value is cached — the classic state a naive
-  // serializer drops.
+  // Mid-stream after Gaussian draws (Marsaglia–Tsang ziggurat): the xoshiro
+  // words are the whole position.
   for (int i = 0; i < 5; ++i) (void)original.gaussian();
 
   CheckpointWriter out;

@@ -92,9 +92,10 @@ TEST(Comparator, LastDecisionTracks) {
 // metastable escape — must be bit-identical to decide() for any input
 // sequence, including when metastable events force the plan to resync
 // mid-frame. The inputs reach the W=1 kernel (bank_kernel.hpp) through a
-// pass-through first stage: order 1, g1 = 1, a1 = 0, no leak, settling or
-// clipping, and the kT/C plan slot carrying each clock's comparator input,
-// so the integrator output the comparator sees is the input exactly.
+// pass-through first stage: order 1, g1·u = 0, a1 = 0, no leak, settling or
+// clipping, and the first-stage white-noise plan slot carrying each clock's
+// comparator input, so the integrator output the comparator sees is the
+// input exactly.
 void expect_planned_matches_scalar(const ComparatorConfig& c,
                                    std::uint64_t seed, int frames,
                                    std::size_t frame_len) {
@@ -115,12 +116,12 @@ void expect_planned_matches_scalar(const ComparatorConfig& c,
   v.width = 1;
   for (std::size_t f = 0; f < kNumState; ++f) v.state[f] = &state[f];
   for (std::size_t f = 0; f < kNumInvariant; ++f) v.in[f] = &zero;
-  v.in[kG1] = v.in[kScale] = v.in[kClockPeriod] = &one;
+  v.in[kScale] = v.in[kClockPeriod] = &one;
   v.in[kSwing1] = v.in[kSettle1] = &inf;
   v.in[kCompOffset] = &c.offset_v;
   v.in[kCompHalfHyst] = &halfhyst;
   v.in[kCompBand] = &c.metastable_band_v;
-  v.noise[kKtc] = inputs_plan.data();
+  v.noise[kWhite1] = inputs_plan.data();
   v.noise[kComp] = c.noise_vrms > 0.0 ? noise.data() : nullptr;
   v.order2 = false;
   v.settling = false;

@@ -127,11 +127,17 @@ TEST(Fleet, SlowHeartAdmitsOnFirstTry) {
   // In a slow heart's long diastole the secondary waves trigger the
   // detector more often than the beats do; the dicrotic rejection must
   // still keep only the beats, so both members admit on their first 8 s
-  // window (seed 21 member 37 used to fail all four attempts).
-  for (const auto& [seed, rate_bpm] : {std::pair{21ull, 45.0}, std::pair{27ull, 53.7}}) {
+  // window. The members are the first, in (seed 1–40, member) order, at the
+  // generator's 45 bpm floor and in 53.5–54 bpm.
+  struct Slow {
+    std::uint64_t seed;
+    std::size_t member;
+    double rate_bpm;
+  };
+  for (const auto& [seed, index, rate_bpm] : {Slow{16, 22, 45.0}, Slow{3, 30, 53.88}}) {
     bio::PopulationConfig population;
     population.seed = seed;
-    const auto member = bio::PopulationGenerator{population}.member(37);
+    const auto member = bio::PopulationGenerator{population}.member(index);
     EXPECT_NEAR(member.pulse.heart_rate_bpm, rate_bpm, 0.05);
     SessionConfig config;
     config.seed = member.seed;

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
+#include "src/common/units.hpp"
 #include "src/dsp/decimation.hpp"
 #include "src/dsp/fft.hpp"
 #include "src/dsp/spectrum.hpp"
@@ -449,6 +451,101 @@ TEST(ModulatorBlock, MatchesScalarWithSlowAmpPartialSettling) {
   c.opamp1.gbw_hz = 100e3;
   c.opamp2.gbw_hz = 100e3;
   expect_block_matches_scalar(c, 110e-15, 512);
+}
+
+TEST(ModulatorBlock, MatchesScalarWithUnequalFirstStageGains) {
+  // g1 != a1: the reference error joins the merged first-stage noise.
+  ModulatorConfig c;
+  c.loop.g1 = 0.5;
+  c.loop.a1 = 0.4;
+  c.ref_noise_vrms = 2e-3;
+  expect_block_matches_scalar(c, 103e-15, 640);
+}
+
+// The first integrator's kT/C, reference and op-amp noise add at one node in
+// one clock, so the planned noise is one Gaussian per clock with variance
+// (g1·σ_u)² + ((g1 − a1)·σ_ref/vref)² + (σ_op1/scale)². A first-order loop
+// with an ideal (leak = 1), unclipped, fully settled integrator exposes each
+// clock's draw n1 = Δx1 − (g1·u − a1·d) through integrator1_v().
+ModulatorConfig exposed_first_stage() {
+  ModulatorConfig c;
+  c.order = 1;
+  c.enable_settling = false;
+  c.cap_mismatch_sigma = 0.0;
+  c.opamp1.dc_gain = std::numeric_limits<double>::infinity();
+  c.opamp1.output_swing_v = 1e6;
+  c.comparator.noise_vrms = 0.0;
+  c.comparator.metastable_band_v = 0.0;
+  return c;
+}
+
+/// The planned first-stage draws of `n` one-clock blocks at u = 0.
+std::vector<double> planned_first_stage_noise(const ModulatorConfig& c,
+                                              std::size_t n) {
+  DeltaSigmaModulator mod{c};
+  std::vector<double> draws;
+  int d = 1;  // the modulator's initial output bit
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x_prev = mod.integrator1_v() / c.loop.state_scale_v;
+    int bit = 0;
+    mod.step_capacitive_block(c.c_ref_f, c.c_ref_f, &bit, 1);
+    const double x = mod.integrator1_v() / c.loop.state_scale_v;
+    draws.push_back(x - x_prev + c.loop.a1 * d);
+    d = bit;
+  }
+  return draws;
+}
+
+double variance_of(const std::vector<double>& v) {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const double x : v) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double n = static_cast<double>(v.size());
+  return sum_sq / n - (sum / n) * (sum / n);
+}
+
+TEST(Modulator, MergedFirstStageNoiseMatchesVarianceFormula) {
+  ModulatorConfig c = exposed_first_stage();
+  c.loop.g1 = 0.5;
+  c.loop.a1 = 0.3;
+  c.ref_noise_vrms = 1e-3;
+  const double c_fb = c.c_fb1_f;
+  const double q_fs = c_fb * c.vref_v;
+  const double sigma_u =
+      std::sqrt(4.0 * units::k_boltzmann * c.temperature_k *
+                (2.0 * c.c_ref_f + c_fb)) / q_fs;
+  const double ktc = c.loop.g1 * sigma_u;
+  const double ref = (c.loop.g1 - c.loop.a1) * c.ref_noise_vrms / c.vref_v;
+  const double op1 = c.opamp1.noise_vrms / c.loop.state_scale_v;
+  const double want = ktc * ktc + ref * ref + op1 * op1;
+  const std::size_t n = 40000;
+  const double got = variance_of(planned_first_stage_noise(c, n));
+  // σ of a variance estimate is √(2/n)·var ≈ 0.7%; accept 5σ.
+  EXPECT_NEAR(got, want, 5.0 * std::sqrt(2.0 / n) * want);
+}
+
+TEST(Modulator, ReferenceNoiseCancelsAtEqualGains) {
+  // At g1 == a1 the reference error's charge d·ref·(g1 − a1) is zero, so
+  // the setting changes neither the planned noise nor a single output bit.
+  ModulatorConfig quiet = exposed_first_stage();
+  quiet.ref_noise_vrms = 0.0;
+  ModulatorConfig loud = quiet;
+  loud.ref_noise_vrms = 5e-3;
+  ASSERT_EQ(quiet.loop.g1, quiet.loop.a1);
+  EXPECT_EQ(planned_first_stage_noise(quiet, 2000),
+            planned_first_stage_noise(loud, 2000));
+  DeltaSigmaModulator a{ModulatorConfig{}};
+  ModulatorConfig paper_loud;
+  paper_loud.ref_noise_vrms = 5e-3;
+  DeltaSigmaModulator b{paper_loud};
+  std::vector<int> bits_a(1024);
+  std::vector<int> bits_b(1024);
+  a.step_capacitive_block(104e-15, 100e-15, bits_a.data(), bits_a.size());
+  b.step_capacitive_block(104e-15, 100e-15, bits_b.data(), bits_b.size());
+  EXPECT_EQ(bits_a, bits_b);
 }
 
 }  // namespace

@@ -22,7 +22,10 @@ std::vector<double> generate(std::size_t n, std::uint64_t seed = 5,
 
 TEST(PinkNoise, ZeroMeanUnitVariance) {
   const auto x = generate(1 << 18);
-  EXPECT_NEAR(mean(x), 0.0, 0.1);
+  // The sample mean is itself noisy: row k < 15 holds each value for
+  // 2^(k+1) samples and the top row for 2^15, so over N = 2^18 samples
+  // Var(mean) ≈ (1/16)·(Σ_k 2^(k+1) + 2^15)/N ≈ 0.023, σ ≈ 0.15. Accept 4σ.
+  EXPECT_NEAR(mean(x), 0.0, 0.6);
   EXPECT_NEAR(stddev(x), 1.0, 0.15);
 }
 

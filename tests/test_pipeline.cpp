@@ -118,11 +118,21 @@ TEST(Pipeline, SinusoidalPressureComesThrough) {
   for (std::size_t i = 1000; i < out.size(); ++i) tail.push_back(out[i].value);
   // Oscillation must be clearly visible above the noise.
   EXPECT_GT(peak_to_peak(tail), 20.0 / 2048.0);
-  // And roughly periodic at 5 Hz: count zero crossings of the centered tail.
+  // And roughly periodic at 5 Hz: count crossings of the centered tail with
+  // hysteresis at a quarter of the peak-to-peak, so LSB-level noise around
+  // the mean cannot chatter one crossing into several.
   const double m = mean(tail);
+  const double band = 0.25 * peak_to_peak(tail);
   int crossings = 0;
-  for (std::size_t i = 1; i < tail.size(); ++i) {
-    if ((tail[i - 1] - m) * (tail[i] - m) < 0.0) ++crossings;
+  int side = tail[0] > m ? 1 : -1;
+  for (const double v : tail) {
+    if (side < 0 && v > m + band) {
+      side = 1;
+      ++crossings;
+    } else if (side > 0 && v < m - band) {
+      side = -1;
+      ++crossings;
+    }
   }
   EXPECT_NEAR(crossings, 10, 4);  // 5 Hz over 1 s → 10 crossings
 }

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <set>
 #include <vector>
+
+#include "src/common/checkpoint.hpp"
 
 namespace tono {
 namespace {
@@ -150,8 +153,8 @@ TEST(Rng, ForkNamedDistinctNames) {
 }
 
 TEST(Rng, GaussianSpareCacheConsistency) {
-  // Two generators with the same seed must stay in lockstep even when
-  // gaussian() caching interleaves with other draws.
+  // Two generators with the same seed must stay in lockstep when Gaussian
+  // draws interleave with other draws.
   Rng a{99};
   Rng b{99};
   (void)a.gaussian();
@@ -161,7 +164,7 @@ TEST(Rng, GaussianSpareCacheConsistency) {
 }
 
 // fill_gaussian must be indistinguishable from a scalar draw loop: same
-// values, same end state, same spare-cache behaviour. These tests pin the
+// values, same end state, however the fill is split. These tests pin the
 // contract the modulator's noise plan depends on.
 TEST(RngFill, BitIdenticalToScalarDraws) {
   for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 127u, 128u, 129u, 513u}) {
@@ -174,32 +177,32 @@ TEST(RngFill, BitIdenticalToScalarDraws) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(want[i], got[i]) << "n=" << n << " i=" << i;
     }
-    // End state identical, including the spare cache: the next draws agree.
+    // End state identical: the next draws agree.
     EXPECT_EQ(scalar.gaussian(), bulk.gaussian()) << "n=" << n;
     EXPECT_EQ(scalar.next_u64(), bulk.next_u64()) << "n=" << n;
   }
 }
 
 TEST(RngFill, SpareCarriesAcrossCalls) {
-  // Odd-length fills leave a spare; the next fill (or scalar draw) must
-  // consume it exactly as a scalar loop would.
+  // Fills of any length, mixed with scalar draws, continue the one sequence
+  // a scalar loop draws.
   Rng scalar{31337};
   Rng bulk{31337};
   std::vector<double> want(10);
   for (auto& v : want) v = scalar.gaussian();
   std::vector<double> got(10);
-  bulk.fill_gaussian(got.data(), 3);       // odd: spare cached
-  bulk.fill_gaussian(got.data() + 3, 1);   // consumes the spare only
-  bulk.fill_gaussian(got.data() + 4, 5);   // odd again
-  got[9] = bulk.gaussian();                // scalar consumes the spare
+  bulk.fill_gaussian(got.data(), 3);
+  bulk.fill_gaussian(got.data() + 3, 1);
+  bulk.fill_gaussian(got.data() + 4, 5);
+  got[9] = bulk.gaussian();
   for (std::size_t i = 0; i < 10; ++i) ASSERT_EQ(want[i], got[i]) << i;
 }
 
 TEST(RngFill, SpareFromScalarDrawSeedsTheFill) {
-  // A spare pending from a scalar gaussian() becomes dest[0].
+  // A fill after a scalar gaussian() continues where that draw left off.
   Rng scalar{5};
   Rng bulk{5};
-  (void)scalar.gaussian();  // leaves a spare in both
+  (void)scalar.gaussian();
   (void)bulk.gaussian();
   std::vector<double> want(4);
   for (auto& v : want) v = scalar.gaussian();
@@ -219,6 +222,108 @@ TEST(RngFill, MeanSigmaMatchesScalarAffineDraws) {
   bulk.fill_gaussian(got.data(), 257, mean, sigma);
   for (std::size_t i = 0; i < 257; ++i) ASSERT_EQ(want[i], got[i]) << i;
   EXPECT_EQ(scalar.gaussian(), bulk.gaussian());
+}
+
+TEST(Rng, RestoreRejectsAllZeroState) {
+  // xoshiro's all-zero state is a fixed point (every draw is 0 forever), so
+  // a blob holding it is corrupt, never a stream position.
+  CheckpointWriter out;
+  out.section("rng");
+  for (int w = 0; w < 4; ++w) out.u64(0);
+  const auto blob = out.finish(1);
+  CheckpointReader in{blob};
+  Rng rng{1};
+  EXPECT_THROW(rng.restore(in), CheckpointError);
+  // One nonzero word is a valid position.
+  CheckpointWriter ok;
+  ok.section("rng");
+  for (std::uint64_t w = 0; w < 4; ++w) ok.u64(w == 3 ? 1 : 0);
+  CheckpointReader in_ok{ok.finish(1)};
+  EXPECT_NO_THROW(rng.restore(in_ok));
+}
+
+// The 256-layer ziggurat (src/common/ziggurat.hpp) at fixed seeds: its
+// tables, its moments, its whole distribution and its tail.
+
+double phi(double x) { return 0.5 * std::erfc(-x / std::numbers::sqrt2); }
+
+std::vector<double> normals(std::uint64_t seed, std::size_t n) {
+  Rng rng{seed};
+  std::vector<double> v(n);
+  rng.fill_gaussian(v.data(), n);
+  return v;
+}
+
+TEST(Ziggurat, TablesHaveEqualAreaLayers) {
+  using namespace ziggurat;
+  const double r = kX[1];
+  const double v = r * kF[1] + std::sqrt(std::numbers::pi / 2.0) *
+                                   std::erfc(r / std::numbers::sqrt2);
+  EXPECT_NEAR(kX[0] * kF[1], v, 1e-15);
+  for (std::size_t i = 1; i < 256; ++i) {
+    EXPECT_NEAR(kX[i] * (kF[i + 1] - kF[i]), v, 1e-15) << "layer " << i;
+    EXPECT_NEAR(kF[i], std::exp(-0.5 * kX[i] * kX[i]), 1e-15) << "layer " << i;
+    EXPECT_GT(kX[i], kX[i + 1]) << "layer " << i;
+  }
+  EXPECT_EQ(kX[256], 0.0);
+  EXPECT_EQ(kF[256], 1.0);
+}
+
+TEST(Ziggurat, MeanAndVariance) {
+  const std::size_t n = std::size_t{1} << 22;
+  const auto v = normals(101, n);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const double x : v) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / n;
+  const double var = sum_sq / n - mean * mean;
+  // 5σ of the estimators: σ(mean) = 1/√n, σ(var) ≈ √(2/n).
+  EXPECT_NEAR(mean, 0.0, 5.0 / std::sqrt(static_cast<double>(n)));
+  EXPECT_NEAR(var, 1.0, 5.0 * std::sqrt(2.0 / n));
+}
+
+TEST(Ziggurat, ChiSquaredOverBinnedPhi) {
+  // Φ(x) of a standard normal is uniform: 200 equal-probability bins.
+  constexpr std::size_t kBins = 200;
+  const std::size_t n = 1000000;
+  std::vector<double> counts(kBins, 0.0);
+  for (const double x : normals(202, n)) {
+    const auto bin = static_cast<std::size_t>(phi(x) * kBins);
+    counts[std::min(bin, kBins - 1)] += 1.0;
+  }
+  const double expected = static_cast<double>(n) / kBins;
+  double chi2 = 0.0;
+  for (const double c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  // 199 dof: mean 199, σ ≈ 19.9; accept ±5σ.
+  EXPECT_GT(chi2, 199.0 - 100.0);
+  EXPECT_LT(chi2, 199.0 + 100.0);
+}
+
+TEST(Ziggurat, TailMassBeyondRAndFiveSigma) {
+  // Beyond R = 3.654 every draw comes from the exponential-rejection tail;
+  // beyond 5σ only from its far end.
+  const std::size_t n = std::size_t{1} << 24;
+  const double r = ziggurat::kX[1];
+  std::size_t beyond_r = 0;
+  std::size_t beyond_5 = 0;
+  std::size_t negative_r = 0;
+  for (const double x : normals(303, n)) {
+    beyond_r += std::abs(x) > r;
+    negative_r += x < -r;
+    beyond_5 += std::abs(x) > 5.0;
+  }
+  const double p_r = std::erfc(r / std::numbers::sqrt2);    // 2.58e-4
+  const double p_5 = std::erfc(5.0 / std::numbers::sqrt2);  // 5.73e-7
+  const double mean_r = p_r * n;
+  EXPECT_NEAR(static_cast<double>(beyond_r), mean_r, 5.0 * std::sqrt(mean_r));
+  EXPECT_NEAR(static_cast<double>(negative_r), 0.5 * mean_r,
+              5.0 * std::sqrt(0.5 * mean_r));
+  // Poisson with mean ≈ 9.6: [1, 25] holds with probability > 0.9999.
+  EXPECT_GE(beyond_5, 1u) << "expected ≈ " << p_5 * n;
+  EXPECT_LE(beyond_5, 25u) << "expected ≈ " << p_5 * n;
 }
 
 // Chi-squared sanity check on uniform byte distribution.

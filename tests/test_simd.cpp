@@ -11,7 +11,7 @@
 #include <limits>
 #include <vector>
 
-#include "src/common/gauss_log.hpp"
+#include "src/common/pinned_log.hpp"
 #include "src/common/rng.hpp"
 
 namespace tono {
@@ -96,27 +96,27 @@ TEST(Simd, CpuFeaturesMatchesRuntimeLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// gausslog::polar_log — the pinned log behind every polar-method factor.
-// These pin its scalar semantics; the vector mirror is covered transitively
-// by the FillGaussianMulti bit-identity suite below.
+// pinned::log — the one transcendental in the random draw paths (the
+// ziggurat's wedge and tail, Rng::exponential). These pin its scalar
+// semantics; its use in the draws is covered by the FillGaussianMulti
+// bit-identity suite below and the golden transcripts.
 
-TEST(PolarLog, SpecialValuesMatchUpstreamSemantics) {
-  EXPECT_EQ(gausslog::polar_log(1.0), 0.0);
-  EXPECT_EQ(gausslog::polar_log(0.0),
-            -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(gausslog::polar_log(-0.0),
-            -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(gausslog::polar_log(std::numeric_limits<double>::infinity()),
+TEST(PinnedLog, SpecialValuesMatchUpstreamSemantics) {
+  EXPECT_EQ(pinned::log(1.0), 0.0);
+  EXPECT_EQ(pinned::log(0.0), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(pinned::log(-0.0), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(pinned::log(std::numeric_limits<double>::infinity()),
             std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(std::isnan(gausslog::polar_log(-1.0)));
-  EXPECT_TRUE(std::isnan(
-      gausslog::polar_log(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(pinned::log(-1.0)));
+  EXPECT_TRUE(
+      std::isnan(pinned::log(std::numeric_limits<double>::quiet_NaN())));
 }
 
-TEST(PolarLog, WithinOneUlpOfLibmOnPolarRadii) {
+TEST(PinnedLog, WithinOneUlpOfLibmOnUnitInterval) {
   // The port's worst-case error is ~0.52 ulp (upstream analysis), so it can
   // sit at most 1 ulp from any faithful libm. Sweep uniform draws in (0, 1)
-  // — the polar radii domain — plus the near-1 strip and subnormals.
+  // — where the wedge heights and the tail's uniforms live — plus the
+  // near-1 strip and subnormals.
   const auto ulp_apart = [](double a, double b) {
     const auto ia = std::bit_cast<std::int64_t>(a);
     const auto ib = std::bit_cast<std::int64_t>(b);
@@ -126,32 +126,19 @@ TEST(PolarLog, WithinOneUlpOfLibmOnPolarRadii) {
   for (int i = 0; i < 200000; ++i) {
     const double x = rng.uniform();
     if (x == 0.0) continue;
-    ASSERT_LE(ulp_apart(gausslog::polar_log(x), std::log(x)), 1) << x;
+    ASSERT_LE(ulp_apart(pinned::log(x), std::log(x)), 1) << x;
   }
   for (int i = 0; i < 20000; ++i) {
     const double x = rng.uniform(1.0 - 0x1p-4, 1.0 + 0x1.09p-4);
-    ASSERT_LE(ulp_apart(gausslog::polar_log(x), std::log(x)), 1) << x;
+    ASSERT_LE(ulp_apart(pinned::log(x), std::log(x)), 1) << x;
   }
   const double subnormal = 0x1p-1060;
-  ASSERT_LE(ulp_apart(gausslog::polar_log(subnormal), std::log(subnormal)), 1);
-}
-
-TEST(PolarLog, FactorIsFiniteAndPositiveAcrossTheAcceptDomain) {
-  // sqrt(-2·log(s)/s) over the accepted radius range: log(s) < 0 on (0, 1),
-  // so the factor is a positive normal number — no NaN/inf can leak into a
-  // Gaussian stream.
-  Rng rng{7};
-  for (int i = 0; i < 100000; ++i) {
-    const double s = rng.uniform();
-    if (s == 0.0 || s >= 1.0) continue;
-    const double f = gausslog::polar_factor(s);
-    ASSERT_TRUE(std::isfinite(f) && f > 0.0) << s;
-  }
+  ASSERT_LE(ulp_apart(pinned::log(subnormal), std::log(subnormal)), 1);
 }
 
 // ---------------------------------------------------------------------------
 // Rng::fill_gaussian_multi — per-stream bit-identity to solo fill_gaussian,
-// including end state (subsequent draws) and the polar spare cache.
+// including end state (subsequent draws).
 
 void expect_multi_matches_solo(std::vector<Rng> streams,
                                const std::vector<std::size_t>& ns) {
@@ -175,7 +162,7 @@ void expect_multi_matches_solo(std::vector<Rng> streams,
     for (std::size_t i = 0; i < ns[w]; ++i) {
       ASSERT_EQ(want[w][i], got[w][i]) << "stream=" << w << " i=" << i;
     }
-    // End state (xoshiro position AND spare cache): the next draws agree.
+    // End state: the next draws agree.
     for (int extra = 0; extra < 5; ++extra) {
       ASSERT_EQ(solo[w].gaussian(), streams[w].gaussian())
           << "stream=" << w << " extra=" << extra;
@@ -190,8 +177,8 @@ TEST(FillGaussianMulti, FourStreamsUnequalLengths) {
 
 TEST(FillGaussianMulti, SpareCachePendingOnEntry) {
   std::vector<Rng> streams{Rng{11}, Rng{22}, Rng{33}, Rng{44}};
-  // An odd draw count leaves the polar pair's second value cached; the multi
-  // fill must emit it as dest[0] exactly like the scalar fill.
+  // Streams that drew scalar Gaussians before the fill continue from their
+  // own positions, exactly like the scalar fill.
   (void)streams[0].gaussian();
   (void)streams[2].gaussian();
   expect_multi_matches_solo(streams, {129, 128, 127, 130});
@@ -210,8 +197,8 @@ TEST(FillGaussianMulti, StreamCountsAroundTheGroupWidth) {
 }
 
 TEST(FillGaussianMulti, TinyFillsUseScalarPath) {
-  // Below the vectorization-viability threshold everything degrades to the
-  // scalar fill — same bits by construction, pinned here anyway.
+  // Fills shorter than a few rounds, and an empty one: the vector phase
+  // runs the shortest and each stream's rest is scalar.
   std::vector<Rng> streams{Rng{5}, Rng{6}, Rng{7}, Rng{8}};
   expect_multi_matches_solo(streams, {1, 2, 3, 0});
 }
@@ -221,6 +208,42 @@ TEST(FillGaussianMulti, MatchesSoloUnderForcedScalar) {
   simd::force_active_level(simd::Level::kScalar);
   std::vector<Rng> streams{Rng{91}, Rng{92}, Rng{93}, Rng{94}};
   expect_multi_matches_solo(streams, {200, 200, 200, 200});
+}
+
+TEST(FillGaussianMulti, EveryDispatchMatchesScalarDrawLoop) {
+  // multi-stream fill == per-stream fill_gaussian == n × gaussian(), under
+  // every dispatch level this binary and CPU offer.
+  LevelGuard guard;
+  const std::vector<std::size_t> ns{1000, 1003, 997, 1000, 640, 128, 7};
+  const std::size_t k = ns.size();
+  std::vector<std::vector<double>> want(k);
+  for (std::size_t w = 0; w < k; ++w) {
+    Rng loop{500 + w};
+    for (std::size_t i = 0; i < ns[w]; ++i) want[w].push_back(loop.gaussian());
+    Rng fill{500 + w};
+    std::vector<double> filled(ns[w]);
+    fill.fill_gaussian(filled.data(), ns[w]);
+    ASSERT_EQ(filled, want[w]) << "stream " << w;
+  }
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kNeon, simd::Level::kAvx2}) {
+    const simd::Level active = simd::force_active_level(level);
+    std::vector<Rng> streams;
+    for (std::size_t w = 0; w < k; ++w) streams.emplace_back(500 + w);
+    std::vector<std::vector<double>> got(k);
+    std::vector<Rng*> rngs;
+    std::vector<double*> dests;
+    for (std::size_t w = 0; w < k; ++w) {
+      got[w].resize(ns[w]);
+      rngs.push_back(&streams[w]);
+      dests.push_back(got[w].data());
+    }
+    Rng::fill_gaussian_multi(rngs.data(), dests.data(), ns.data(), k);
+    for (std::size_t w = 0; w < k; ++w) {
+      ASSERT_EQ(got[w], want[w])
+          << simd::level_name(active) << " stream " << w;
+    }
+  }
 }
 
 TEST(FillGaussianMulti, VectorAndScalarProduceIdenticalStreams) {
