@@ -103,8 +103,6 @@ void Rng::fill_gaussian_multi(Rng* const* rngs, double* const* dests,
   std::size_t done = 0;
 #if defined(TONO_SIMD_AVX2)
   constexpr std::size_t kGroup = 4;
-#elif defined(TONO_SIMD_NEON)
-  constexpr std::size_t kGroup = 2;
 #else
   constexpr std::size_t kGroup = 1;
 #endif
@@ -117,8 +115,6 @@ void Rng::fill_gaussian_multi(Rng* const* rngs, double* const* dests,
       for (std::size_t w = 1; w < kGroup; ++w) m = std::min(m, ns[done + w]);
 #if defined(TONO_SIMD_AVX2)
       fill_gaussian_x4_avx2_(rngs + done, dests + done, m);
-#elif defined(TONO_SIMD_NEON)
-      fill_gaussian_x2_neon_(rngs + done, dests + done, m);
 #endif
       for (std::size_t w = 0; w < kGroup; ++w) {
         rngs[done + w]->fill_gaussian(dests[done + w] + m, ns[done + w] - m);

@@ -147,9 +147,6 @@ class Rng {
   /// dispatch check): fills dests[w][0..n) and advances each stream.
   static void fill_gaussian_x4_avx2_(Rng* const* rngs, double* const* dests,
                                      std::size_t n) noexcept;
-  /// NEON twin for one 2-stream group (rng_neon.cpp).
-  static void fill_gaussian_x2_neon_(Rng* const* rngs, double* const* dests,
-                                     std::size_t n) noexcept;
 
   std::array<std::uint64_t, 4> state_{};
 };

@@ -17,8 +17,8 @@
 //     restarts with a fresh raw draw.
 // The only transcendental is the pinned log (pinned_log.hpp), so a draw is
 // the same bits on any libc. The fast path is elementwise IEEE arithmetic
-// and integer bit operations, which SIMD lanes reproduce exactly; the vector
-// fills (rng_avx2.cpp, rng_neon.cpp) run it across streams and send the
+// and integer bit operations, which SIMD lanes reproduce exactly; the AVX2
+// multi-stream fill (rng_avx2.cpp) runs it across streams and sends the
 // lanes that miss it through the scalar rare paths.
 //
 // A draw keeps no state beyond the xoshiro position (no cached second

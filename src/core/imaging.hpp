@@ -39,7 +39,24 @@ class TactileImager {
  public:
   explicit TactileImager(const ImagerConfig& config = {});
 
-  /// Scans one frame over the pipeline's array under the contact field.
+  /// Flat-field calibration. Each element's capacitance mismatch
+  /// (ChipConfig::element_mismatch_sigma) offsets its pixel by more than a
+  /// physiological pressure gradient across the die moves it — an image
+  /// sensor's fixed-pattern noise. This scans `frames` frames of the
+  /// pipeline's array under a uniform reference field and keeps their
+  /// per-pixel mean; every later capture subtracts it, so a pixel reads its
+  /// element's change from the reference. Throws std::invalid_argument if
+  /// `frames` is 0.
+  void calibrate(AcquisitionPipeline& pipeline, const ContactField& reference,
+                 std::size_t frames = 4);
+  /// The stored flat-field frame, row-major; empty until calibrate().
+  [[nodiscard]] const std::vector<double>& flat_field() const noexcept {
+    return flat_field_;
+  }
+
+  /// Scans one frame over the pipeline's array under the contact field,
+  /// minus the flat field once calibrated. Throws std::invalid_argument if
+  /// the flat field was taken on an array of another size.
   [[nodiscard]] TactileFrame capture(AcquisitionPipeline& pipeline,
                                      const ContactField& field) const;
 
@@ -55,6 +72,7 @@ class TactileImager {
 
  private:
   ImagerConfig config_;
+  std::vector<double> flat_field_;  ///< per-pixel reference; empty = raw
 };
 
 }  // namespace tono::core

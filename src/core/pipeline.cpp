@@ -1,6 +1,10 @@
 #include "src/core/pipeline.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "src/common/checkpoint.hpp"
+#include "src/common/fixed_point.hpp"
 
 namespace tono::core {
 namespace {
@@ -229,11 +233,38 @@ void ArrayAcquisition::acquire_frame(const ContactField& field,
                               bit_scratch_.data(), n);
   clocks_ += n;
   for (std::size_t k = 0; k < lanes; ++k) {
-    if (bank_.lane_enabled(k)) {
-      out[k] = chains_[k].push_frame({bit_scratch_.data() + k * n, n});
-    } else {
+    if (!bank_.lane_enabled(k)) {
       out[k] = dsp::DecimatedSample{};  // masked lane: no sample this frame
+      continue;
     }
+    out[k] = chains_[k].push_frame({bit_scratch_.data() + k * n, n});
+    if (!flat_field_.empty()) {
+      const int bits = config_.decimation.output_bits;
+      out[k].code = saturate_to_bits(out[k].code - flat_field_[k], bits);
+      out[k].value = dequantize_from_bits(out[k].code, bits);
+    }
+  }
+}
+
+void ArrayAcquisition::calibrate_flat_field(const ContactField& reference,
+                                            std::size_t settle,
+                                            std::size_t frames) {
+  if (frames == 0) {
+    throw std::invalid_argument{"ArrayAcquisition: flat field needs frames > 0"};
+  }
+  flat_field_.clear();  // the reference frames read raw codes
+  const std::size_t lanes = bank_.lanes();
+  std::vector<dsp::DecimatedSample> frame(lanes);
+  for (std::size_t i = 0; i < settle; ++i) acquire_frame(reference, frame.data());
+  std::vector<std::int64_t> sum(lanes, 0);
+  for (std::size_t i = 0; i < frames; ++i) {
+    acquire_frame(reference, frame.data());
+    for (std::size_t k = 0; k < lanes; ++k) sum[k] += frame[k].code;
+  }
+  flat_field_.resize(lanes);
+  for (std::size_t k = 0; k < lanes; ++k) {
+    flat_field_[k] = std::llround(static_cast<double>(sum[k]) /
+                                  static_cast<double>(frames));
   }
 }
 
@@ -268,6 +299,8 @@ void ArrayAcquisition::serialize(CheckpointWriter& out) const {
   for (const auto& chain : chains_) chain.serialize(out);
   out.u64(clocks_);
   out.f64(temperature_k_);
+  out.size(flat_field_.size());
+  for (const std::int64_t offset : flat_field_) out.i64(offset);
 }
 
 void ArrayAcquisition::restore(CheckpointReader& in) {
@@ -280,6 +313,12 @@ void ArrayAcquisition::restore(CheckpointReader& in) {
   for (auto& chain : chains_) chain.restore(in);
   clocks_ = in.u64();
   temperature_k_ = in.f64();
+  const std::size_t offsets = in.size();
+  if (offsets != 0 && offsets != chains_.size()) {
+    throw CheckpointError{"array acquisition checkpoint flat-field size mismatch"};
+  }
+  flat_field_.resize(offsets);
+  for (auto& offset : flat_field_) offset = in.i64();
 }
 
 }  // namespace tono::core

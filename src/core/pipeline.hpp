@@ -196,6 +196,21 @@ class ArrayAcquisition {
   [[nodiscard]] std::vector<std::vector<dsp::DecimatedSample>> acquire_block(
       const ContactField& field, std::size_t n_out);
 
+  /// Flat-field calibration. Each element's capacitance mismatch
+  /// (ChipConfig::element_mismatch_sigma) offsets its lane's code by more
+  /// than a physiological pressure gradient across the die moves it — an
+  /// image sensor's fixed-pattern noise. This runs `settle + frames` frames
+  /// under a uniform reference field and stores each lane's mean code over
+  /// the last `frames` (rounded); every later sample has it subtracted
+  /// (code saturated to `output_bits`, value re-derived from the code), so
+  /// lane k reads its element's change from the reference. The offsets
+  /// belong to the dies: reset() keeps them and checkpoints carry them.
+  void calibrate_flat_field(const ContactField& reference, std::size_t settle,
+                            std::size_t frames);
+  [[nodiscard]] const std::vector<std::int64_t>& flat_field() const noexcept {
+    return flat_field_;
+  }
+
   void reset();
 
   [[nodiscard]] std::size_t size() const noexcept { return bank_.lanes(); }
@@ -220,7 +235,7 @@ class ArrayAcquisition {
   }
 
   /// Checkpointing: array faults, every lane's modulator, every decimation
-  /// chain, clock count and die temperature.
+  /// chain, clock count, die temperature and the flat-field offsets.
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 
@@ -234,6 +249,7 @@ class ArrayAcquisition {
   std::vector<double> c_sense_;  ///< per-lane scratch
   std::vector<double> c_ref_;
   std::vector<int> bit_scratch_;  ///< lane-major, lanes · total_decimation
+  std::vector<std::int64_t> flat_field_;  ///< per-lane code offset; empty = raw
 };
 
 }  // namespace tono::core

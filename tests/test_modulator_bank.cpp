@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <vector>
 
 #include "src/common/checkpoint.hpp"
@@ -353,6 +354,7 @@ TEST(ArrayAcquisition, LaneZeroMatchesSingleConverterReference) {
 TEST(ArrayAcquisition, ProducesOneImagePerOutputPeriod) {
   const core::ChipConfig chip = core::ChipConfig::paper_chip();
   core::ArrayAcquisition array{chip};
+  array.calibrate_flat_field([](double, double, double) { return 8000.0; }, 16, 16);
   // A pressure gradient across the die: elements must disagree in a
   // position-dependent way.
   const auto field = [](double x_m, double, double) {
@@ -361,25 +363,53 @@ TEST(ArrayAcquisition, ProducesOneImagePerOutputPeriod) {
   const auto out = array.acquire_block(field, 32);
   ASSERT_EQ(out.size(), 4u);
   for (const auto& lane : out) ASSERT_EQ(lane.size(), 32u);
-  // Each element's capacitance mismatch offsets its code by more than the
-  // gradient moves it, so codes are read against a flat field at the centre
-  // pressure on a second array from the same config (the same dies).
-  core::ArrayAcquisition flat_array{chip};
-  const auto flat =
-      flat_array.acquire_block([](double, double, double) { return 8000.0; }, 32);
   // Discard the decimation-filter settling transient, then compare means.
   auto tail_mean = [](const std::vector<dsp::DecimatedSample>& s) {
     double sum = 0.0;
     for (std::size_t i = 16; i < s.size(); ++i) sum += s[i].value;
     return sum / (s.size() - 16);
   };
-  const auto rise = [&](std::size_t k) {
-    return tail_mean(out[k]) - tail_mean(flat[k]);
-  };
   // Row-major 2×2: elements 0/2 sit at −x, 1/3 at +x → larger pressure at
   // +x bends the membrane further, so capacitance and code go up.
-  EXPECT_GT(rise(1), rise(0));
-  EXPECT_GT(rise(3), rise(2));
+  EXPECT_GT(tail_mean(out[1]), tail_mean(out[0]));
+  EXPECT_GT(tail_mean(out[3]), tail_mean(out[2]));
+}
+
+TEST(ArrayAcquisition, FlatFieldSubtractsEachLanesReferenceCode) {
+  // Calibrated codes are the raw codes of an uncalibrated twin minus the
+  // stored per-lane offsets, which a checkpoint carries.
+  const core::ChipConfig chip = core::ChipConfig::paper_chip();
+  const auto reference = [](double, double, double) { return 8000.0; };
+  core::ArrayAcquisition calibrated{chip};
+  core::ArrayAcquisition raw{chip};
+  calibrated.calibrate_flat_field(reference, 16, 16);
+  (void)raw.acquire_block(reference, 32);
+  const auto& offsets = calibrated.flat_field();
+  ASSERT_EQ(offsets.size(), 4u);
+  // The offsets are the elements' mismatch, not a shared level.
+  EXPECT_NE(offsets[0], offsets[1]);
+
+  CheckpointWriter writer;
+  calibrated.serialize(writer);
+  const auto blob = writer.finish(1);
+  core::ArrayAcquisition resumed{chip};
+  CheckpointReader reader{blob};
+  reader.require_version(1);
+  resumed.restore(reader);
+  EXPECT_EQ(resumed.flat_field(), offsets);
+
+  const auto field = [](double x_m, double, double) { return 8000.0 + 4.0e7 * x_m; };
+  const auto want = raw.acquire_block(field, 8);
+  const auto got = resumed.acquire_block(field, 8);
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(got[k][i].code, want[k][i].code - offsets[k]) << k << "," << i;
+      EXPECT_EQ(got[k][i].value, static_cast<double>(got[k][i].code) / 2048.0);
+    }
+  }
+  // Settled under the reference, a calibrated lane reads ~0 codes.
+  const auto flat = calibrated.acquire_block(reference, 4);
+  for (const auto& lane : flat) EXPECT_LE(std::abs(lane.back().code), 3);
 }
 
 TEST(ArrayAcquisition, FaultedElementMasksItsLaneAndHealthyLanesAreUntouched) {
