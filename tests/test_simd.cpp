@@ -212,18 +212,22 @@ TEST(FillGaussianMulti, MatchesSoloUnderForcedScalar) {
 
 TEST(FillGaussianMulti, EveryDispatchMatchesScalarDrawLoop) {
   // multi-stream fill == per-stream fill_gaussian == n × gaussian(), under
-  // every dispatch level this binary and CPU offer.
+  // every dispatch level this binary and CPU offer, and every stream ends
+  // where the draw loop left it.
   LevelGuard guard;
   const std::vector<std::size_t> ns{1000, 1003, 997, 1000, 640, 128, 7};
   const std::size_t k = ns.size();
   std::vector<std::vector<double>> want(k);
+  std::vector<std::uint64_t> want_next(k);
   for (std::size_t w = 0; w < k; ++w) {
     Rng loop{500 + w};
     for (std::size_t i = 0; i < ns[w]; ++i) want[w].push_back(loop.gaussian());
+    want_next[w] = loop.next_u64();
     Rng fill{500 + w};
     std::vector<double> filled(ns[w]);
     fill.fill_gaussian(filled.data(), ns[w]);
     ASSERT_EQ(filled, want[w]) << "stream " << w;
+    ASSERT_EQ(fill.next_u64(), want_next[w]) << "stream " << w;
   }
   for (const simd::Level level :
        {simd::Level::kScalar, simd::Level::kNeon, simd::Level::kAvx2}) {
@@ -241,6 +245,8 @@ TEST(FillGaussianMulti, EveryDispatchMatchesScalarDrawLoop) {
     Rng::fill_gaussian_multi(rngs.data(), dests.data(), ns.data(), k);
     for (std::size_t w = 0; w < k; ++w) {
       ASSERT_EQ(got[w], want[w])
+          << simd::level_name(active) << " stream " << w;
+      ASSERT_EQ(streams[w].next_u64(), want_next[w])
           << simd::level_name(active) << " stream " << w;
     }
   }
