@@ -33,7 +33,7 @@
 #include "src/common/cli.hpp"
 #include "src/core/sweep_runner.hpp"
 #include "src/core/validation.hpp"
-#include "src/fleet/ward_aggregator.hpp"
+#include "src/fleet/patient_session.hpp"
 
 using namespace tono;
 
@@ -151,11 +151,8 @@ int main(int argc, char** argv) {
     return run_member(member, duration_s, min_pairs);
   });
 
-  fleet::WardAggregator aggregator;
-  for (const auto& rec : records) aggregator.record_validation(rec);
-
   std::ostringstream jsonl;
-  core::export_validation_jsonl(aggregator.validation_records(), jsonl, min_pairs);
+  core::export_validation_jsonl(records, jsonl, min_pairs);
   const std::string artifact = jsonl.str();
   const std::string output_path = args.string_value("output");
   if (!output_path.empty()) {
@@ -172,7 +169,7 @@ int main(int argc, char** argv) {
   std::cout << "validation_report: population=" << population << " duration=" << duration_s
             << "s threads=" << runner.thread_count() << "\n";
   core::CohortValidation fleet_total;
-  for (const auto& cohort : aggregator.validation_by_cohort()) {
+  for (const auto& cohort : core::aggregate_by_cohort(records, min_pairs)) {
     print_grade_row(std::cout, "cohort " + cohort.cohort, cohort, min_pairs);
     fleet_total.sessions += cohort.sessions;
     fleet_total.aami_pass_sessions += cohort.aami_pass_sessions;
@@ -180,7 +177,7 @@ int main(int argc, char** argv) {
     fleet_total.sys_error.merge(cohort.sys_error);
   }
   print_grade_row(std::cout, "fleet", fleet_total, min_pairs);
-  for (const auto& rec : aggregator.validation_records()) {
+  for (const auto& rec : records) {
     if (!rec.failure.empty()) {
       std::cout << "  member " << rec.session_id << " (" << rec.scenario
                 << ") failed: " << rec.failure << "\n";

@@ -1,6 +1,6 @@
 // ward_server — the hospital serving loop: N concurrent patient sessions
 // across independent ward shards, bounded telemetry rings, hospital-level
-// alarm aggregation, asynchronous JSONL snapshots.
+// alarm aggregation, crash-safe JSONL snapshots.
 //
 //   ward_server --sessions 256 --shards 4 --duration 10 --seed 11
 //               [--frames-per-step 64] [--epoch-batches 16]
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
                {.min = 0});
   args.add_string("snapshot", "write the ward JSONL snapshot to this file", "");
   args.add_int("snapshot-every",
-               "async-snapshot period in epochs (0 = final snapshot only)", 0, {.min = 0});
+               "snapshot period in epochs (0 = final snapshot only)", 0, {.min = 0});
   args.add_string("checkpoint",
                   "write a resumable crash-safe checkpoint to this file", "");
   args.add_int("checkpoint-every",
@@ -382,16 +382,14 @@ int main(int argc, char** argv) {
 
   const std::string snapshot = args.string_value("snapshot");
   if (!snapshot.empty()) {
-    // run() already handed the final exact snapshot to the async writer and
-    // flushed; any periodic epoch snapshots were superseded along the way.
+    // run() wrote the final exact snapshot last, over any periodic ones.
     if (hospital.snapshots_written() == 0) {
       std::cerr << "cannot write snapshot to " << snapshot << "\n";
       return 1;
     }
     std::cout << "wrote ward snapshot to " << snapshot;
     if (args.int_value("snapshot-every") > 0) {
-      std::cout << " (" << hospital.snapshots_written() << " written, "
-                << hospital.snapshots_skipped() << " superseded)";
+      std::cout << " (" << hospital.snapshots_written() << " written)";
     }
     std::cout << "\n";
   }

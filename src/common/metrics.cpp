@@ -240,15 +240,15 @@ void register_standard_instruments(Registry& r) {
        {kPipelineFrames, kPipelineFramesBlock, kPipelineFramesScalar,
         kPipelineMuxFallbacks, kModulatorNoisePlanFills, kBankPackedLaneFrames,
         kBankNarrowLaneFrames, kDecimationSamples,
-        kDecimationFirSaturations, kSweepRuns, kSweepTrials, kPoolTasksSubmitted,
-        kPoolTasksExecuted, kTelemetryFramesOk, kTelemetryCrcErrors,
-        kTelemetryResyncs, kTelemetryLostFrames, kMonitorSessions, kMonitorBeats,
+        kDecimationFirSaturations, kSweepRuns, kSweepTrials, kTelemetryFramesOk,
+        kTelemetryCrcErrors, kTelemetryResyncs, kTelemetryLostFrames,
+        kMonitorSessions, kMonitorBeats,
         kMonitorQualityRejections, kMonitorRescans, kMonitorAlarmsRaised,
         kFleetSessionsAdmitted, kFleetSessionsDischarged, kFleetSessionsQuarantined,
         kFleetBatches, kFleetFrames, kFleetRingDrops, kFleetRingBlocks,
         kFleetRecoveries, kFleetRetired, kFleetFaultsInjected,
         kWardCodesConsumed, kWardEventsConsumed, kWardEscalations,
-        kHospitalEpochs, kHospitalSnapshotsWritten, kHospitalSnapshotsSkipped,
+        kHospitalEpochs, kHospitalSnapshotsWritten,
         kGatewayFramesMuxed, kGatewayFramesDemuxed,
         kGatewayBytesSent, kGatewayBytesReceived, kGatewayBackpressureBlocks,
         kGatewayEnvelopesDropped, kGatewayCodesDropped, kGatewayCrcErrors,
@@ -259,7 +259,6 @@ void register_standard_instruments(Registry& r) {
   }
   for (const char* name :
        {kModulatorPeakState1V, kModulatorPeakState2V, kModulatorClipCount,
-        kSweepThreads, kPoolPeakQueueDepth, kPoolQueueDepth,
         kMonitorAlarmLatencyS, kFleetSessionsActive,
         kWardAlarmsActive, kHospitalShardsActive,
         kHospitalCodesConsumed, kHospitalAlarmsActive, kGatewayReplaySpeedup}) {

@@ -205,18 +205,11 @@ inline constexpr const char* kProcessSimdWidth = "process.simd_width";
 // DecimationChain (output rate, 1 kHz)
 inline constexpr const char* kDecimationSamples = "decimation.samples";
 inline constexpr const char* kDecimationFirSaturations = "decimation.fir_saturations";
-// SweepRunner / ThreadPool
+// SweepRunner
 inline constexpr const char* kSweepRuns = "sweep.runs";
 inline constexpr const char* kSweepTrials = "sweep.trials";
 inline constexpr const char* kSweepTrialsPerStrand = "sweep.trials_per_strand";
 inline constexpr const char* kSweepRunWall = "sweep.run_wall";
-inline constexpr const char* kSweepThreads = "sweep.threads";
-inline constexpr const char* kPoolTasksSubmitted = "threadpool.tasks_submitted";
-inline constexpr const char* kPoolTasksExecuted = "threadpool.tasks_executed";
-inline constexpr const char* kPoolPeakQueueDepth = "threadpool.peak_queue_depth";
-/// Instantaneous queue depth (set on every submit/claim under the queue
-/// lock); the fleet scheduler reads this to spot a starved batch.
-inline constexpr const char* kPoolQueueDepth = "threadpool.queue_depth";
 // Telemetry link (FrameDecoder / LinkStats)
 inline constexpr const char* kTelemetryFramesOk = "telemetry.frames_ok";
 inline constexpr const char* kTelemetryCrcErrors = "telemetry.crc_errors";
@@ -251,11 +244,9 @@ inline constexpr const char* kWardCodesConsumed = "ward.codes_consumed";
 inline constexpr const char* kWardEventsConsumed = "ward.events_consumed";
 inline constexpr const char* kWardAlarmsActive = "ward.alarms_active";
 inline constexpr const char* kWardEscalations = "ward.escalations";
-// Hospital sharding layer (HospitalScheduler / AsyncSnapshotWriter; see
-// docs/FLEET.md "Sharding")
+// Hospital sharding layer (HospitalScheduler; see docs/FLEET.md "Sharding")
 inline constexpr const char* kHospitalEpochs = "hospital.epochs";
 inline constexpr const char* kHospitalSnapshotsWritten = "hospital.snapshots_written";
-inline constexpr const char* kHospitalSnapshotsSkipped = "hospital.snapshots_skipped";
 inline constexpr const char* kHospitalShardsActive = "hospital.shards_active";
 inline constexpr const char* kHospitalCodesConsumed = "hospital.codes_consumed";
 inline constexpr const char* kHospitalAlarmsActive = "hospital.alarms_active";

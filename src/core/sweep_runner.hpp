@@ -1,8 +1,9 @@
 // sweep_runner.hpp — deterministic parallel Monte-Carlo / parameter sweeps.
 //
-// Fans independent trials across a ThreadPool with one hard guarantee: the
-// results are bit-identical to running the same trials serially, regardless
-// of thread count or scheduling. Two rules buy that determinism:
+// Fans independent trials across strands — plain threads started per run,
+// plus the calling thread — with one hard guarantee: the results are
+// bit-identical to running the same trials serially, regardless of thread
+// count or scheduling. Two rules buy that determinism:
 //
 //   1. every trial's randomness is a fresh stream derived from
 //      (base_seed, stream_name, trial_index) alone — never from a shared RNG
@@ -20,7 +21,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -28,13 +28,12 @@
 
 #include "src/common/metrics.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/thread_pool.hpp"
 
 namespace tono::core {
 
 struct SweepConfig {
-  /// Worker threads. 0 → std::thread::hardware_concurrency(); 1 → plain
-  /// serial loop (no pool, the reference execution).
+  /// Strands per run. 0 → std::thread::hardware_concurrency(); 1 → plain
+  /// serial loop on the calling thread (the reference execution).
   std::size_t threads{0};
   std::uint64_t base_seed{0x70A05EEDull};
   /// Name of the sweep's RNG stream family; two sweeps with different names
@@ -59,9 +58,8 @@ class SweepRunner {
   /// never share draws.
   [[nodiscard]] std::uint64_t trial_seed(std::size_t trial_index) const;
 
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return pool_ ? pool_->thread_count() : 1;
-  }
+  /// SweepConfig::threads with 0 resolved to the hardware thread count.
+  [[nodiscard]] std::size_t thread_count() const noexcept { return threads_; }
   [[nodiscard]] const SweepConfig& config() const noexcept { return config_; }
 
   /// Runs fn over trial indices [0, n_trials), returning the results in
@@ -104,20 +102,20 @@ class SweepRunner {
     }
   }
 
-  /// Type-erased deterministic index loop: serial when one thread, strand
-  /// workers pulling an atomic counter otherwise. Captures per-trial
-  /// exceptions and rethrows the lowest-index one after all strands finish.
+  /// Type-erased deterministic index loop: min(threads, n) strands — the
+  /// caller and strands − 1 joined threads — pull an atomic counter. Captures
+  /// per-trial exceptions and rethrows the lowest-index one after all
+  /// strands finish.
   void run_indexed_(std::size_t n, const std::function<void(std::size_t)>& body);
 
   SweepConfig config_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when threads == 1
+  std::size_t threads_;  ///< resolved strand count, >= 1
   // Observability (resolved once at construction; updated at sweep/strand
   // granularity only, never inside a trial).
   metrics::Counter* runs_metric_;
   metrics::Counter* trials_metric_;
   metrics::Histogram* trials_per_strand_;
   metrics::Timer* run_wall_;
-  metrics::Gauge* threads_gauge_;
 };
 
 }  // namespace tono::core

@@ -1,6 +1,7 @@
 #include "src/fleet/hospital_scheduler.hpp"
 
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -37,18 +38,15 @@ HospitalScheduler::HospitalScheduler(HospitalConfig config)
     shard.scheduler = std::make_unique<FleetScheduler>(std::move(fleet), *shard.ward);
     shards_.push_back(std::move(shard));
   }
-  if (!config_.snapshot_path.empty()) {
-    writer_ = std::make_unique<AsyncSnapshotWriter>(config_.snapshot_path);
-  }
   auto& reg = metrics::Registry::global();
   epochs_metric_ = &reg.counter(metrics::names::kHospitalEpochs);
   shards_active_gauge_ = &reg.gauge(metrics::names::kHospitalShardsActive);
   codes_gauge_ = &reg.gauge(metrics::names::kHospitalCodesConsumed);
   alarms_gauge_ = &reg.gauge(metrics::names::kHospitalAlarmsActive);
   epoch_wall_ = &reg.timer(metrics::names::kShardEpochWall);
+  snapshots_written_metric_ = &reg.counter(metrics::names::kHospitalSnapshotsWritten);
+  snapshot_wall_ = &reg.timer(metrics::names::kHospitalSnapshotWall);
 }
-
-HospitalScheduler::~HospitalScheduler() = default;
 
 std::uint64_t HospitalScheduler::session_seed(std::size_t session_id) const {
   // Every shard shares (base_seed, stream_name); shard 0 answers for all.
@@ -99,14 +97,6 @@ void HospitalScheduler::export_jsonl(std::ostream& os) const {
   fleet::export_jsonl(merge_snapshot_(), os);
 }
 
-std::uint64_t HospitalScheduler::snapshots_written() const {
-  return writer_ ? writer_->written() : 0;
-}
-
-std::uint64_t HospitalScheduler::snapshots_skipped() const {
-  return writer_ ? writer_->skipped() : 0;
-}
-
 std::vector<std::uint8_t> HospitalScheduler::checkpoint() const {
   CheckpointWriter out;
   out.section("hospital");
@@ -155,6 +145,21 @@ bool HospitalScheduler::save_checkpoint() {
   return true;
 }
 
+void HospitalScheduler::save_snapshot_() {
+  // Serialize to memory, then tmp-file + fsync + atomic rename: a kill at
+  // any instant leaves the previous complete snapshot, never a torn file.
+  metrics::TraceSpan span{*snapshot_wall_};
+  std::ostringstream buffer;
+  fleet::export_jsonl(merge_snapshot_(), buffer);
+  const std::string serialized = buffer.str();
+  if (!atomic_write_file(config_.snapshot_path, serialized.data(), serialized.size())) {
+    ++snapshot_failures_;
+    return;
+  }
+  ++snapshots_written_;
+  snapshots_written_metric_->add(1);
+}
+
 bool HospitalScheduler::try_restore_checkpoint() {
   if (config_.checkpoint_path.empty()) return false;
   std::vector<std::uint8_t> blob;
@@ -189,11 +194,9 @@ void HospitalScheduler::on_epoch_() {
   set_totals_();
   shards_active_gauge_->set(
       static_cast<double>(live_shards_.load(std::memory_order_relaxed)));
-  if (writer_ && config_.snapshot_every_epochs > 0 &&
+  if (!config_.snapshot_path.empty() && config_.snapshot_every_epochs > 0 &&
       epoch % config_.snapshot_every_epochs == 0) {
-    // Copy ward state and hand it off; serialization and the file write
-    // happen on the writer thread, never inside this barrier.
-    writer_->submit(merge_snapshot_());
+    save_snapshot_();
   }
   if (!config_.checkpoint_path.empty() && config_.checkpoint_every_epochs > 0 &&
       epoch % config_.checkpoint_every_epochs == 0) {
@@ -253,10 +256,7 @@ void HospitalScheduler::run(double duration_s) {
   // Every shard joined: the wards are quiescent.
   set_totals_();
   shards_active_gauge_->set(0.0);
-  if (writer_) {
-    writer_->submit(merge_snapshot_());
-    writer_->flush();
-  }
+  if (!config_.snapshot_path.empty()) save_snapshot_();
   // Final checkpoint after the epilogue drain: a completed run leaves a blob
   // a restarted process can resume (or verify) from.
   (void)save_checkpoint();

@@ -8,11 +8,9 @@
 // steps its whole batch. Shards are the only parallelism of the serving
 // path: a shard is one thread. Shards only meet at *epoch* boundaries (every
 // `epoch_batches` batches), where a std::barrier completion step aggregates
-// telemetry and hands snapshots to the async writer. Between epochs the
+// telemetry and writes any due snapshot and checkpoint. Between epochs the
 // shards share nothing mutable: the cross-shard roll-up reads the wards
-// directly while every shard is parked, and JSONL serialization runs on the
-// AsyncSnapshotWriter thread (snapshot_writer.hpp) so it never stalls a
-// barrier.
+// directly while every shard is parked.
 //
 // Determinism contract (docs/FLEET.md "Sharding"): shard assignment is a
 // pure function of session id — `id % shards` — and session ids equal
@@ -40,7 +38,6 @@
 
 #include "src/common/metrics.hpp"
 #include "src/fleet/fleet_scheduler.hpp"
-#include "src/fleet/snapshot_writer.hpp"
 #include "src/fleet/ward_aggregator.hpp"
 
 namespace tono::fleet {
@@ -63,9 +60,9 @@ struct HospitalConfig {
   /// observes them.
   std::size_t epoch_batches{16};
   WardConfig ward{};
-  /// When non-empty, run() writes JSONL snapshots here through the async
-  /// writer: one at every `snapshot_every_epochs`-th epoch (0 = final
-  /// snapshot only) and always one exact snapshot at the end of run().
+  /// When non-empty, run() writes JSONL snapshots here — crash-safe, like
+  /// the checkpoint below — at every `snapshot_every_epochs`-th epoch
+  /// barrier (0 = final snapshot only) and always once at the end of run().
   std::string snapshot_path{};
   std::size_t snapshot_every_epochs{0};
   /// When non-empty, run() writes a resumable binary checkpoint here —
@@ -86,7 +83,6 @@ inline constexpr std::uint32_t kHospitalCheckpointVersion = 4;
 class HospitalScheduler {
  public:
   explicit HospitalScheduler(HospitalConfig config);
-  ~HospitalScheduler();
 
   HospitalScheduler(const HospitalScheduler&) = delete;
   HospitalScheduler& operator=(const HospitalScheduler&) = delete;
@@ -106,8 +102,8 @@ class HospitalScheduler {
 
   /// Runs every shard to `duration_s` of per-session stream time on its own
   /// driver thread, epoch-synchronized; drains and settles each shard when
-  /// it finishes. When snapshot_path is set, hands the writer a
-  /// final exact snapshot and flushes before returning.
+  /// it finishes. When snapshot_path is set, writes the final exact
+  /// snapshot before returning.
   void run(double duration_s);
 
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
@@ -132,9 +128,14 @@ class HospitalScheduler {
   [[nodiscard]] std::uint64_t epochs() const noexcept {
     return epochs_.load(std::memory_order_relaxed);
   }
-  /// Async writer accounting (0/0 when no snapshot_path configured).
-  [[nodiscard]] std::uint64_t snapshots_written() const;
-  [[nodiscard]] std::uint64_t snapshots_skipped() const;
+  /// Snapshots written to snapshot_path so far, and writes that failed
+  /// (each failure leaves the previous complete snapshot in place).
+  [[nodiscard]] std::uint64_t snapshots_written() const noexcept {
+    return snapshots_written_;
+  }
+  [[nodiscard]] std::uint64_t snapshot_failures() const noexcept {
+    return snapshot_failures_;
+  }
 
   /// Full-hospital checkpoint: the epoch counter plus every shard's
   /// scheduler (batch counters, slot lifecycles, complete session dumps)
@@ -181,12 +182,16 @@ class HospitalScheduler {
   void set_totals_();
   void on_epoch_();
   [[nodiscard]] WardSnapshot merge_snapshot_() const;
+  /// export_jsonl(merge_snapshot_()) → atomic replace of
+  /// config.snapshot_path; quiescent only.
+  void save_snapshot_();
 
   HospitalConfig config_;
   std::vector<Shard> shards_;
-  std::unique_ptr<AsyncSnapshotWriter> writer_;  ///< null without snapshot_path
   std::size_t admitted_{0};
   std::uint64_t checkpoints_saved_{0};
+  std::uint64_t snapshots_written_{0};
+  std::uint64_t snapshot_failures_{0};
   std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::size_t> live_shards_{0};
   // Observability (resolved once at construction).
@@ -195,6 +200,8 @@ class HospitalScheduler {
   metrics::Gauge* codes_gauge_;
   metrics::Gauge* alarms_gauge_;
   metrics::Timer* epoch_wall_;
+  metrics::Counter* snapshots_written_metric_;
+  metrics::Timer* snapshot_wall_;
 };
 
 }  // namespace tono::fleet

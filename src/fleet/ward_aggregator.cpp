@@ -321,18 +321,6 @@ void WardAggregator::export_jsonl(std::ostream& os) const {
   fleet::export_jsonl(snapshot(), os);
 }
 
-void WardAggregator::record_validation(core::SessionValidationRecord record) {
-  validation_records_.push_back(std::move(record));
-}
-
-std::vector<core::CohortValidation> WardAggregator::validation_by_cohort() const {
-  return core::aggregate_by_cohort(validation_records_);
-}
-
-void WardAggregator::export_validation_jsonl(std::ostream& os) const {
-  core::export_validation_jsonl(validation_records_, os);
-}
-
 namespace {
 
 void serialize_session_state(CheckpointWriter& out, const WardSessionState& s) {

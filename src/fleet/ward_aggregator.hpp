@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/common/metrics.hpp"
-#include "src/core/validation.hpp"
 #include "src/fleet/patient_session.hpp"
 
 namespace tono::fleet {
@@ -82,10 +81,8 @@ struct WardConfig {
 
 /// A value-type copy of everything a ward snapshot serializes: the
 /// per-session states plus the ward-level totals. Decoupling this from
-/// WardAggregator is what makes hospital sharding and async snapshots work —
-/// shard snapshots merge into one (merge_snapshots) and serialization
-/// (export_jsonl below) can run on a dedicated writer thread while the wards
-/// keep draining.
+/// WardAggregator is what makes hospital sharding work — shard snapshots
+/// merge into one (merge_snapshots) before export_jsonl serializes them.
 struct WardSnapshot {
   std::vector<WardSessionState> sessions;
   std::uint64_t codes_consumed{0};
@@ -183,20 +180,6 @@ class WardAggregator {
   /// fleet::export_jsonl(snapshot(), os).
   void export_jsonl(std::ostream& os) const;
 
-  /// Validation roll-up (docs/VALIDATION.md): sessions graded by the
-  /// validation harness report here; cohort grades are exact merges of the
-  /// per-session accumulators, so a sharded fleet grades identically to a
-  /// serial run. Same threading contract as snapshots: record at barriers.
-  void record_validation(core::SessionValidationRecord record);
-  [[nodiscard]] const std::vector<core::SessionValidationRecord>& validation_records()
-      const noexcept {
-    return validation_records_;
-  }
-  [[nodiscard]] std::vector<core::CohortValidation> validation_by_cohort() const;
-  /// Per-session + per-cohort + fleet validation lines
-  /// (core::export_validation_jsonl over the recorded set).
-  void export_validation_jsonl(std::ostream& os) const;
-
   /// Checkpointing: per-session ward state (vitals, loss accounting, fault
   /// logs, recorded codes), the alarm queue and the ward totals. Restore
   /// expects the same sessions attached in the same order; the registry
@@ -219,7 +202,6 @@ class WardAggregator {
   std::vector<WardSessionState> sessions_;
   std::vector<Entry> entries_;  ///< parallel to sessions_
   std::vector<WardAlarm> alarm_queue_;
-  std::vector<core::SessionValidationRecord> validation_records_;
   std::uint64_t escalations_{0};
   std::uint64_t recoveries_{0};
   std::uint64_t retired_{0};

@@ -1,8 +1,8 @@
 // Hospital sharding tests (src/fleet/hospital_scheduler.hpp and friends):
 // the determinism contract (sharded == unsharded == plain fleet == solo,
 // snapshot bytes included, fault plans active), the totals gauges, and the
-// double-buffered async snapshot writer. The Hospital / Snapshot suites run
-// under the CI TSan job.
+// snapshots written at epoch barriers. The Hospital suite runs under the CI
+// TSan job.
 #include "src/fleet/hospital_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -17,12 +17,10 @@
 
 #include "src/bio/pulse_generator.hpp"
 #include "src/common/checkpoint.hpp"
-#include "src/fleet/snapshot_writer.hpp"
 
 namespace {
 
 using namespace tono;
-using fleet::AsyncSnapshotWriter;
 using fleet::FaultPlanConfig;
 using fleet::FleetConfig;
 using fleet::FleetScheduler;
@@ -33,7 +31,6 @@ using fleet::SessionConfig;
 using fleet::SessionState;
 using fleet::WardAggregator;
 using fleet::WardConfig;
-using fleet::WardSessionState;
 using fleet::WardSnapshot;
 
 constexpr std::size_t kSessions = 5;  // uneven across 3 shards on purpose
@@ -265,26 +262,27 @@ TEST(Hospital, TotalsGaugesMatchMergedSnapshotAfterRun) {
   metrics::set_enabled(was_enabled);
 }
 
-TEST(Hospital, AsyncEpochSnapshotsLandOnDiskShardCountInvariant) {
+TEST(Hospital, EpochSnapshotsLandOnDiskShardCountInvariant) {
   const std::string path3 = temp_path("hospital_snap3.jsonl");
   const std::string path1 = temp_path("hospital_snap1.jsonl");
-  std::string expected;
   for (const auto& [shards, path] :
        std::vector<std::pair<std::size_t, std::string>>{{3, path3}, {1, path1}}) {
     HospitalConfig config;
     config.shards = shards;
+    config.epoch_batches = 2;  // several epochs in a 0.3 s run
     config.snapshot_path = path;
     config.snapshot_every_epochs = 1;
     HospitalScheduler hospital{config};
     for (std::size_t i = 0; i < 3; ++i) (void)hospital.admit(mixed_config(i));
     hospital.run(0.3);
-    // run() submits a final exact snapshot and flushes; the file must equal
-    // the in-memory merged export.
-    EXPECT_GE(hospital.snapshots_written(), 1u);
+    // One snapshot per epoch barrier plus the final exact one, none lost;
+    // the file must equal the in-memory merged export.
+    EXPECT_GE(hospital.epochs(), 2u);
+    EXPECT_EQ(hospital.snapshots_written(), hospital.epochs() + 1);
+    EXPECT_EQ(hospital.snapshot_failures(), 0u);
     std::ostringstream os;
     hospital.export_jsonl(os);
     EXPECT_EQ(read_file(path), os.str());
-    if (expected.empty()) expected = os.str();
   }
   EXPECT_EQ(read_file(path3), read_file(path1))
       << "snapshot bytes depend on the shard count";
@@ -397,74 +395,48 @@ TEST(Hospital, CheckpointRestoreRejectsMismatchAndMissingFileIsFreshStart) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// AsyncSnapshotWriter
-
-WardSnapshot tiny_snapshot(std::uint32_t tag) {
-  WardSnapshot snap;
-  WardSessionState s;
-  s.id = tag;
-  s.label = "session-" + std::to_string(tag);
-  s.codes = 10ull * tag;
-  snap.sessions.push_back(std::move(s));
-  snap.codes_consumed = 10ull * tag;
-  return snap;
-}
-
-std::string serialized(const WardSnapshot& snap) {
+TEST(Hospital, SnapshotPeriodZeroWritesOnlyTheFinalSnapshot) {
+  const std::string path = temp_path("hospital_snap_final.jsonl");
+  HospitalConfig config;
+  config.shards = 2;
+  config.epoch_batches = 2;
+  config.snapshot_path = path;
+  HospitalScheduler hospital{config};
+  for (std::size_t i = 0; i < 3; ++i) (void)hospital.admit(mixed_config(i));
+  hospital.run(0.3);
+  EXPECT_GE(hospital.epochs(), 2u);
+  EXPECT_EQ(hospital.snapshots_written(), 1u);
   std::ostringstream os;
-  fleet::export_jsonl(snap, os);
-  return os.str();
-}
-
-TEST(Snapshot, WriterWritesSubmittedSnapshotVerbatim) {
-  const std::string path = temp_path("writer_basic.jsonl");
-  AsyncSnapshotWriter writer{path};
-  writer.submit(tiny_snapshot(3));
-  writer.flush();
-  EXPECT_EQ(writer.written(), 1u);
-  EXPECT_EQ(writer.failures(), 0u);
-  EXPECT_EQ(read_file(path), serialized(tiny_snapshot(3)));
+  hospital.export_jsonl(os);
+  EXPECT_EQ(read_file(path), os.str());
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, LatestWinsAccountingIsExactAndFileHoldsTheLast) {
-  const std::string path = temp_path("writer_latest.jsonl");
-  constexpr std::uint32_t kSubmitted = 200;
-  {
-    AsyncSnapshotWriter writer{path};
-    for (std::uint32_t i = 1; i <= kSubmitted; ++i) writer.submit(tiny_snapshot(i));
-    writer.flush();
-    // Double-buffer contract: every snapshot is either written or counted
-    // as superseded — nothing vanishes silently — and the file always ends
-    // at the newest one.
-    EXPECT_EQ(writer.written() + writer.skipped(), kSubmitted);
-    EXPECT_GE(writer.written(), 1u);
-  }
-  EXPECT_EQ(read_file(path), serialized(tiny_snapshot(kSubmitted)));
-  std::remove(path.c_str());
-}
+// A snapshot write that fails is counted, leaves the run untouched and never
+// stalls a barrier: every due write is attempted and the streams finish.
+TEST(Hospital, UnwritableSnapshotPathIsCountedAndTheRunCompletes) {
+  HospitalConfig config;
+  config.shards = 2;
+  config.epoch_batches = 2;
+  config.snapshot_path = "/nonexistent-dir/snap.jsonl";
+  config.snapshot_every_epochs = 1;
+  HospitalScheduler hospital{config};
+  for (std::size_t i = 0; i < 3; ++i) (void)hospital.admit(mixed_config(i));
+  hospital.run(0.3);
+  EXPECT_GE(hospital.epochs(), 2u);
+  EXPECT_EQ(hospital.snapshots_written(), 0u);
+  EXPECT_EQ(hospital.snapshot_failures(), hospital.epochs() + 1);
 
-TEST(Snapshot, DestructorFlushesThePendingSnapshot) {
-  const std::string path = temp_path("writer_dtor.jsonl");
-  {
-    AsyncSnapshotWriter writer{path};
-    writer.submit(tiny_snapshot(9));
-    // no flush(): the destructor must drain the pending slot
-  }
-  EXPECT_EQ(read_file(path), serialized(tiny_snapshot(9)));
-  std::remove(path.c_str());
-}
-
-TEST(Snapshot, UnwritablePathCountsFailuresWithoutWedging) {
-  AsyncSnapshotWriter writer{"/nonexistent-dir/snap.jsonl"};
-  writer.submit(tiny_snapshot(1));
-  writer.flush();
-  EXPECT_EQ(writer.written(), 0u);
-  EXPECT_EQ(writer.failures(), 1u);
-  writer.submit(tiny_snapshot(2));
-  writer.flush();  // still alive after a failure
-  EXPECT_EQ(writer.failures(), 2u);
+  HospitalConfig plain = config;
+  plain.snapshot_path.clear();
+  HospitalScheduler reference{plain};
+  for (std::size_t i = 0; i < 3; ++i) (void)reference.admit(mixed_config(i));
+  reference.run(0.3);
+  std::ostringstream got, want;
+  hospital.export_jsonl(got);
+  reference.export_jsonl(want);
+  EXPECT_EQ(got.str(), want.str()) << "a failed snapshot write changed the run";
+  EXPECT_GT(hospital.snapshot().codes_consumed, 0u);
 }
 
 }  // namespace

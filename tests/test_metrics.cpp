@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "src/common/simd.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/sweep_runner.hpp"
 
@@ -209,7 +207,7 @@ TEST(Registry, StandardInstrumentsCoverEverySubsystem) {
   reg.export_jsonl(os);
   const std::string out = os.str();
   for (const char* prefix : {"pipeline.", "modulator.", "decimation.", "sweep.",
-                             "threadpool.", "telemetry.", "monitor."}) {
+                             "telemetry.", "monitor."}) {
     EXPECT_NE(out.find(prefix), std::string::npos) << "subsystem missing: " << prefix;
   }
 }
@@ -237,23 +235,6 @@ TEST(Metrics, ConcurrentCounterUpdatesLoseNothing) {
 
 // --- Instrumentation-point tests (global registry; measured as deltas
 // because other tests in this binary touch the same process-wide counters).
-
-TEST(MetricsWiring, ThreadPoolCountsSubmittedAndExecuted) {
-  auto& reg = Registry::global();
-  const auto submitted0 = reg.counter(names::kPoolTasksSubmitted).value();
-  const auto executed0 = reg.counter(names::kPoolTasksExecuted).value();
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool{3};
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-  }
-  EXPECT_EQ(ran.load(), 50);
-  EXPECT_EQ(reg.counter(names::kPoolTasksSubmitted).value() - submitted0, 50u);
-  EXPECT_EQ(reg.counter(names::kPoolTasksExecuted).value() - executed0, 50u);
-}
 
 TEST(MetricsWiring, SweepRunnerCountsRunsAndTrials) {
   auto& reg = Registry::global();

@@ -3,13 +3,13 @@
 // arrive in trial order, and exceptions must propagate like a serial loop's.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.hpp"
 #include "src/core/chip_config.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/sweep_runner.hpp"
@@ -17,31 +17,8 @@
 namespace {
 
 using tono::Rng;
-using tono::ThreadPool;
 using tono::core::SweepConfig;
 using tono::core::SweepRunner;
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool{2};
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-  }  // destructor must finish all 50 before joining
-  EXPECT_EQ(count.load(), 50);
-}
 
 TEST(SweepRunnerTest, TrialRngDependsOnlyOnIndexAndConfig) {
   SweepRunner a{{.threads = 1, .base_seed = 7, .stream_name = "x"}};
@@ -126,6 +103,18 @@ TEST(SweepRunnerTest, LowestIndexExceptionPropagates) {
       EXPECT_STREQ(e.what(), "trial 7");
     }
   }
+}
+
+TEST(SweepRunnerTest, ZeroThreadsResolvesToHardwareConcurrency) {
+  const std::size_t hardware =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  SweepRunner runner{{.threads = 0}};
+  EXPECT_EQ(runner.thread_count(), hardware);
+  EXPECT_GE(runner.thread_count(), 1u);
+  EXPECT_EQ(SweepRunner{{.threads = 3}}.thread_count(), 3u);
+  const auto out = runner.run(10, [](std::size_t i) { return i + 1; });
+  ASSERT_EQ(out.size(), 10u);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i + 1);
 }
 
 TEST(SweepRunnerTest, ZeroTrialsIsANoOp) {
