@@ -33,14 +33,18 @@
 
 #include "src/analog/modulator.hpp"
 #include "src/analog/modulator_bank.hpp"
+#include "src/common/fixed_point.hpp"
 #include "src/common/metrics.hpp"
 #include "src/common/simd.hpp"
+#include "src/core/beat_detection.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/quality.hpp"
 #include "src/core/sweep_runner.hpp"
 #include "src/dsp/decimation.hpp"
 #include "src/dsp/fft.hpp"
 #include "src/fleet/fleet_scheduler.hpp"
 #include "src/fleet/hospital_scheduler.hpp"
+#include "src/fleet/patient_session.hpp"
 #include "src/gateway/gateway.hpp"
 #include "src/gateway/recorder.hpp"
 #include "src/gateway/transport.hpp"
@@ -490,6 +494,51 @@ void BM_GatewayReplay(benchmark::State& state) {
                           static_cast<std::int64_t>(kFrames * kBatch));
 }
 BENCHMARK(BM_GatewayReplay);
+
+// One streaming-monitor hop: the 8 s window a rest session's monitor grades
+// every 2 s, in calibrated mmHg. Analysis and grading are timed apart, so
+// the trajectory shows which of the two a hop pays for. Items are window
+// samples.
+const std::vector<double>& hop_window() {
+  static const std::vector<double> window = [] {
+    std::vector<std::int16_t> codes;
+    fleet::SessionConfig config;
+    config.seed = 11;
+    config.code_sink = [&codes](std::uint32_t, std::span<const std::int16_t> block) {
+      codes.insert(codes.end(), block.begin(), block.end());
+    };
+    fleet::PatientSession session{0, config};
+    session.step(8000);
+    const int bits = config.chip.decimation.output_bits;
+    std::vector<double> mmhg;
+    for (const std::int16_t code : codes) {
+      mmhg.push_back(session.calibration().to_mmhg(dequantize_from_bits(code, bits)));
+    }
+    return mmhg;
+  }();
+  return window;
+}
+
+void BM_BeatDetectorAnalyze(benchmark::State& state) {
+  const auto& window = hop_window();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::BeatDetector{}.analyze(window));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(window.size()));
+}
+BENCHMARK(BM_BeatDetectorAnalyze);
+
+void BM_QualityAssess(benchmark::State& state) {
+  const auto& window = hop_window();
+  const auto beats = core::BeatDetector{}.analyze(window);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::SignalQualityAssessor{}.assess(window, beats, 1000.0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(window.size()));
+}
+BENCHMARK(BM_QualityAssess);
 
 void BM_Fft8k(benchmark::State& state) {
   std::vector<dsp::Complex> x(8192);

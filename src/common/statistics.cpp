@@ -94,16 +94,49 @@ double peak_to_peak(std::span<const double> xs) noexcept {
   return s.max() - s.min();
 }
 
+namespace {
+
+/// Rank of the q-th percentile among n sorted values.
+double percentile_rank(double q, std::size_t n) {
+  return std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(n - 1);
+}
+
+/// The q-th percentile of `values`, a copy of the data whose elements from
+/// index `from` on are exactly its largest n − from values, in any order
+/// (all of them for from = 0), with from at or below q's rank. Selects the
+/// two order statistics a full sort would put at ranks lo and lo + 1: the
+/// first by nth_element, then the least of the partition above it.
+double select_percentile(std::vector<double>& values, std::size_t from, double q) {
+  const double rank = percentile_rank(q, values.size());
+  const auto lo = static_cast<std::size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  const auto nth = values.begin() + static_cast<long>(lo);
+  std::nth_element(values.begin() + static_cast<long>(from), nth, values.end());
+  const double at_lo = *nth;
+  const double at_hi = lo + 1 < values.size() ? *std::min_element(nth + 1, values.end()) : at_lo;
+  return at_lo + frac * (at_hi - at_lo);
+}
+
+}  // namespace
+
 double percentile(std::span<const double> xs, double q) {
   if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(q, 0.0, 100.0);
-  const double rank = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  std::vector<double> values(xs.begin(), xs.end());
+  return select_percentile(values, 0, q);
+}
+
+std::pair<double, double> percentiles(std::span<const double> xs, double qa, double qb) {
+  if (xs.empty()) return {0.0, 0.0};
+  if (qb < qa) {
+    const auto [b, a] = percentiles(xs, qb, qa);
+    return {a, b};
+  }
+  std::vector<double> values(xs.begin(), xs.end());
+  const double a = select_percentile(values, 0, qa);
+  // Everything from qa's rank on is now the top of the data: qb's selection
+  // only partitions that.
+  const auto from = static_cast<std::size_t>(percentile_rank(qa, values.size()));
+  return {a, select_percentile(values, from, qb)};
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }

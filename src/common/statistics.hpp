@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace tono {
@@ -49,8 +50,14 @@ class RunningStats {
 [[nodiscard]] double peak_to_peak(std::span<const double> xs) noexcept;
 
 /// q-th percentile (q in [0,100]) by linear interpolation between closest
-/// ranks. Copies and sorts internally; intended for report-time use.
+/// ranks. Copies the input and selects the two bracketing order statistics
+/// (O(n)); the result is bit-identical to interpolating a sorted copy.
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
+
+/// {percentile(xs, qa), percentile(xs, qb)}, bit for bit, from one copy:
+/// the second selection only partitions what lies above the first rank.
+[[nodiscard]] std::pair<double, double> percentiles(std::span<const double> xs, double qa,
+                                                    double qb);
 
 /// Median (50th percentile).
 [[nodiscard]] double median(std::span<const double> xs);

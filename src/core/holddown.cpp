@@ -37,7 +37,8 @@ double HoldDownOptimizer::evaluate(const ChipConfig& chip, const WristModel& wri
   std::vector<double> values;
   values.reserve(window.size());
   for (const auto& s : window) values.push_back(s.value);
-  return percentile(values, 95.0) - percentile(values, 5.0);
+  const auto [p5, p95] = percentiles(values, 5.0, 95.0);
+  return p95 - p5;
 }
 
 HoldDownResult HoldDownOptimizer::optimize(const ChipConfig& chip,

@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/common/simd.hpp"
 #include "src/common/statistics.hpp"
+#include "src/core/lag_kernel.hpp"
 
 namespace tono::core {
 namespace {
@@ -24,6 +26,40 @@ double score(double x, double floor_x) {
   if (floor_x <= 0.0) return 0.0;
   return std::clamp(1.0 - x / floor_x, 0.0, 1.0);
 }
+
+/// 2 × f64: the baseline vector width (SSE2 on x86-64, NEON on aarch64).
+using BaseLanes = double __attribute__((vector_size(2 * sizeof(double))));
+
+/// The ensemble template as pearson_correlation sees it: its mean, its
+/// centred values and their sum of squares, computed once for every lag.
+class ShapeTemplate {
+ public:
+  explicit ShapeTemplate(std::span<const double> tmpl) : centred_(tmpl.size()) {
+    const double mb = mean(tmpl);
+    for (std::size_t i = 0; i < tmpl.size(); ++i) {
+      centred_[i] = tmpl[i] - mb;
+      db_ += centred_[i] * centred_[i];
+    }
+  }
+
+  /// Best correlation of `segment` (seg_len + 2·max_lag samples) with the
+  /// template over the even lags 0, 2, …, 2·max_lag, with the bits of one
+  /// pearson_correlation per lag (lag_kernel.hpp). Every level gives the
+  /// same bits; the AVX2 kernel is only faster.
+  double best_lag_correlation(std::span<const double> segment, std::size_t max_lag) const {
+#if defined(TONO_SIMD_AVX2)
+    if (level_ == simd::Level::kAvx2) {
+      return lagkernel::best_lag_correlation_avx2(segment, max_lag, centred_, db_);
+    }
+#endif
+    return lagkernel::best_lag_correlation<BaseLanes, 8>(segment, max_lag, centred_, db_);
+  }
+
+ private:
+  std::vector<double> centred_;
+  double db_{0.0};
+  simd::Level level_{simd::active_level()};
+};
 
 }  // namespace
 
@@ -47,8 +83,7 @@ QualityReport SignalQualityAssessor::assess(std::span<const double> window,
   // Artefact load: boxplot outliers. The inter-quartile range tracks the
   // beat's own excursion (robust to heavy spike contamination), so only
   // values beyond the physiological envelope count.
-  const double q1 = percentile(window, 25.0);
-  const double q3 = percentile(window, 75.0);
+  const auto [q1, q3] = percentiles(window, 25.0, 75.0);
   const double iqr = q3 - q1;
   if (iqr > 0.0) {
     const double lo = q1 - config_.iqr_multiplier * iqr;
@@ -103,20 +138,16 @@ QualityReport SignalQualityAssessor::assess(std::span<const double> window,
   // coarse, so each segment is aligned to the template by its best lag
   // (±60 ms) before scoring — a real pulse realigns to ≈0.8+, noise cannot.
   {
-    std::vector<double> sorted_iv = intervals;
-    const double med_iv = sorted_iv.empty() ? 0.8 : median(sorted_iv);
+    const double med_iv = intervals.empty() ? 0.8 : median(intervals);
     const auto seg_len = static_cast<std::size_t>(0.6 * med_iv * fs);
     const auto max_lag = static_cast<std::size_t>(0.06 * fs);
     if (seg_len >= 8) {
-      // Extract segments with margin for the alignment search.
-      std::vector<std::vector<double>> segments;  // padded by max_lag each side
+      // Segments with margin for the alignment search: max_lag each side.
+      std::vector<std::span<const double>> segments;
       for (const auto& b : beats.beats) {
-        const double start_s = b.upstroke_s;
-        const auto start = static_cast<std::size_t>(start_s * fs);
+        const auto start = static_cast<std::size_t>(b.upstroke_s * fs);
         if (start < max_lag || start + seg_len + max_lag >= window.size()) continue;
-        segments.emplace_back(
-            window.begin() + static_cast<long>(start - max_lag),
-            window.begin() + static_cast<long>(start + seg_len + max_lag));
+        segments.push_back(window.subspan(start - max_lag, seg_len + 2 * max_lag));
       }
       if (segments.size() >= 3) {
         // Template from the center (unshifted) cuts.
@@ -125,15 +156,9 @@ QualityReport SignalQualityAssessor::assess(std::span<const double> window,
           for (std::size_t i = 0; i < seg_len; ++i) tmpl[i] += s[max_lag + i];
         }
         for (auto& v : tmpl) v /= static_cast<double>(segments.size());
+        const ShapeTemplate shape{tmpl};
         double corr_acc = 0.0;
-        for (const auto& s : segments) {
-          double best = -1.0;
-          for (std::size_t lag = 0; lag <= 2 * max_lag; lag += 2) {
-            const std::span<const double> cut{s.data() + lag, seg_len};
-            best = std::max(best, pearson_correlation(cut, tmpl));
-          }
-          corr_acc += best;
-        }
+        for (const auto& s : segments) corr_acc += shape.best_lag_correlation(s, max_lag);
         rep.shape_consistency =
             std::max(0.0, corr_acc / static_cast<double>(segments.size()));
       }

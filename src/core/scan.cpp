@@ -36,8 +36,9 @@ ScanResult ScanController::scan(AcquisitionPipeline& pipeline,
       ElementSignal sig;
       sig.row = r;
       sig.col = c;
-      sig.amplitude = percentile(values, config_.high_percentile) -
-                      percentile(values, config_.low_percentile);
+      const auto [low, high] =
+          percentiles(values, config_.low_percentile, config_.high_percentile);
+      sig.amplitude = high - low;
       sig.mean_level = mean(values);
       result.elements.push_back(sig);
 

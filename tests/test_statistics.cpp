@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -122,6 +124,52 @@ TEST(Percentile, ClampsOutOfRangeQ) {
   const std::vector<double> xs{1.0, 2.0};
   EXPECT_DOUBLE_EQ(percentile(xs, -5.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 150.0), 2.0);
+}
+
+/// Linear interpolation between the closest ranks of a fully sorted copy:
+/// the reference percentile() must match bit for bit.
+double sorted_percentile(std::span<const double> xs, double q) {
+  std::vector<double> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double rank = std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+TEST(Statistics, PercentileEqualsSortedInterpolation) {
+  // Half-unit steps give many duplicates, both signs and exact zeros; ±0
+  // compare equal, so which of them a sort leaves at a rank is unspecified.
+  tono::Rng rng{41};
+  std::vector<std::vector<double>> inputs{
+      {-0.0}, {0.0, -0.0}, {-0.0, 0.0}, {2.5, -1.0}, {0.0, -0.0, -3.5}, {1.0, 1.0, -0.0}};
+  for (const std::size_t n : {1u, 2u, 3u, 8000u}) {
+    std::vector<double> xs(n);
+    for (auto& v : xs) v = std::round(rng.gaussian(0.0, 4.0)) / 2.0;
+    xs[0] = -0.0;
+    if (n > 1) xs[n / 2] = 0.0;
+    inputs.push_back(xs);
+  }
+  const auto same_bits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  const std::vector<double> qs{0.0, 25.0, 37.3, 50.0, 75.0, 100.0};
+  for (const auto& xs : inputs) {
+    for (const double q : qs) {
+      const double got = percentile(xs, q);
+      const double want = sorted_percentile(xs, q);
+      EXPECT_TRUE(same_bits(got, want))
+          << "n=" << xs.size() << " q=" << q << ": " << got << " vs " << want;
+    }
+    // Every ordered and reversed pair, equal ranks included.
+    for (const double qa : qs) {
+      for (const double qb : qs) {
+        const auto [a, b] = percentiles(xs, qa, qb);
+        EXPECT_TRUE(same_bits(a, sorted_percentile(xs, qa)) &&
+                    same_bits(b, sorted_percentile(xs, qb)))
+            << "n=" << xs.size() << " q=" << qa << ", " << qb;
+      }
+    }
+  }
 }
 
 TEST(Median, OddAndEven) {
