@@ -678,6 +678,8 @@ std::string make_entry_json(const std::map<std::string, CapturedRun>& results) {
   os << "      \"hospital_scaling_256_vs_64\": " << ratio(hospital256, hospital64_4)
      << ",\n";
   os << "      \"hospital_realtime_sessions_1024\": " << hospital1024 / 1000.0 << ",\n";
+  // CI guards the two absolute gateway rates below. The 64-vs-1 ratio is
+  // informational: a slower per-code cost amortises better and raises it.
   os << "      \"gateway_scaling_64_vs_1\": " << ratio(gateway64, gateway1) << ",\n";
   os << "      \"gateway_realtime_sessions_64\": " << gateway64 / 1000.0 << ",\n";
   os << "      \"gateway_replay_speedup\": " << gateway_replay / 1000.0 << "\n";

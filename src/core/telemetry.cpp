@@ -1,7 +1,9 @@
 #include "src/core/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/checkpoint.hpp"
 
@@ -17,19 +19,28 @@ constexpr std::size_t payload_bytes(std::size_t n_samples) {
   return frame_payload_bytes(n_samples);
 }
 
+/// kCrc16Table[i] is the CRC register after shifting the byte i through
+/// it from zero: the eight polynomial steps of one byte, done once.
+constexpr std::array<std::uint16_t, 256> make_crc16_table() {
+  std::array<std::uint16_t, 256> table{};
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    auto crc = static_cast<std::uint16_t>(i << 8);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = static_cast<std::uint16_t>((crc & 0x8000) ? (crc << 1) ^ 0x1021 : crc << 1);
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
+
 }  // namespace
 
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) noexcept {
   std::uint16_t crc = 0xFFFF;
   for (std::uint8_t byte : data) {
-    crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(byte) << 8));
-    for (int bit = 0; bit < 8; ++bit) {
-      if (crc & 0x8000) {
-        crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
-      } else {
-        crc = static_cast<std::uint16_t>(crc << 1);
-      }
-    }
+    crc = static_cast<std::uint16_t>((crc << 8) ^ kCrc16Table[(crc >> 8) ^ byte]);
   }
   return crc;
 }
@@ -194,7 +205,15 @@ void FrameDecoder::serialize(CheckpointWriter& out) const {
 
 void FrameDecoder::restore(CheckpointReader& in) {
   in.section("frame_decoder");
-  buffer_.resize(in.size());
+  // push() parses every whole frame it holds, so it never leaves a full
+  // maximum-size frame behind. A longer buffer is no state of this decoder;
+  // a shorter one that the blob does not hold fails on its byte reads.
+  const std::size_t buffered = in.size();
+  if (buffered >= frame_wire_bytes(kMaxSamplesPerFrame)) {
+    throw CheckpointError{"frame_decoder: buffered " + std::to_string(buffered) +
+                          " bytes, a push leaves fewer than one maximum-size frame"};
+  }
+  buffer_.resize(buffered);
   for (auto& b : buffer_) b = in.u8();
   stats_.frames_ok = in.size();
   stats_.crc_errors = in.size();

@@ -45,7 +45,12 @@ inline constexpr std::size_t kFrameCrcBytes = 2;
   return kFrameHeaderBytes + frame_payload_bytes(n_samples) + kFrameCrcBytes;
 }
 
-/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection).
+/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection), one byte
+/// per step: a compile-time 256-entry table holds the polynomial division of
+/// every byte value, so each byte costs one lookup and one shift instead of
+/// eight conditional bit steps. Its values equal the bit-by-bit definition
+/// on every input (tests/test_telemetry.cpp keeps that loop as the
+/// reference). Every frame and gateway envelope check goes through here.
 [[nodiscard]] std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) noexcept;
 
 /// Packs signed 12-bit codes (range checked) into the wire format.
@@ -94,7 +99,8 @@ class FrameDecoder {
 
   /// Checkpointing: parse buffer, per-decoder stats and sequence tracking.
   /// The registry mirrors are process-lifetime counters and are untouched —
-  /// restore() repositions this decoder without re-counting its history.
+  /// restore() repositions this decoder without re-counting its history, and
+  /// throws CheckpointError for a parse buffer no push() leaves behind.
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "src/common/checkpoint.hpp"
-#include "src/gateway/gateway.hpp"
+#include "src/core/telemetry.hpp"
 
 namespace tono::gateway {
 namespace {
@@ -176,9 +176,14 @@ bool SessionReplayer::next(std::vector<std::uint8_t>& frame, std::uint16_t& n_co
     done_ = true;
     return false;
   }
+  // The checksum covers only the payload, so the header must agree with
+  // the one frame it describes: the wire size of a frame of n_codes codes,
+  // and a zero reserved field.
   const std::uint32_t length = get_u32(header + 0);
-  if (length == 0 || length > kMaxEnvelopePayload) {
-    truncated_ = true;  // implausible length: corrupt tail
+  const std::uint16_t codes = get_u16(header + 4);
+  if (codes == 0 || codes > core::kMaxSamplesPerFrame || get_u16(header + 6) != 0 ||
+      length != core::frame_wire_bytes(codes)) {
+    truncated_ = true;  // implausible header: corrupt tail
     done_ = true;
     return false;
   }
@@ -189,12 +194,14 @@ bool SessionReplayer::next(std::vector<std::uint8_t>& frame, std::uint16_t& n_co
     done_ = true;
     return false;
   }
-  if (checkpoint_fnv1a(frame.data(), frame.size()) != get_u64(header + 8)) {
+  // The frame's own sample count (its last header byte) must be n_codes.
+  if (checkpoint_fnv1a(frame.data(), frame.size()) != get_u64(header + 8) ||
+      frame[core::kFrameHeaderBytes - 1] != codes) {
     truncated_ = true;  // corrupt record — stop, never hand out wrong bytes
     done_ = true;
     return false;
   }
-  n_codes = get_u16(header + 4);
+  n_codes = codes;
   ++frames_read_;
   codes_read_ += n_codes;
   return true;

@@ -17,7 +17,11 @@
 // All fields little-endian. Records are append-only; a crash mid-append
 // leaves at most one torn record at the tail, which the replayer detects
 // (short read or checksum mismatch) and truncates — every fully-written
-// record before it replays byte-identically.
+// record before it replays byte-identically. The checksum covers only the
+// payload, so the replayer also ends the stream at a record whose header
+// disagrees with its frame: a length other than the frame's wire size for
+// n_codes, an n_codes other than the frame's own count, or a nonzero
+// reserved field.
 //
 // The index (`index.ckpt`) is a framed checkpoint blob (magic, version,
 // FNV-1a — src/common/checkpoint.hpp) carrying the run parameters needed

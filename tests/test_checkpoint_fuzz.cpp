@@ -1,8 +1,9 @@
-// Seeded mutation fuzz of the noise-path checkpoint restores: Rng,
-// DeltaSigmaModulator and ModulatorBank. Each round takes a valid payload,
-// mutates it (bit flips, random bytes, truncation, insertion, duplicated or
-// deleted ranges), re-frames it with a valid checksum so the mutation
-// reaches the field readers, and restores it into a freshly built object.
+// Seeded mutation fuzz of checkpoint restores: the noise path (Rng,
+// DeltaSigmaModulator, ModulatorBank) and the link's FrameDecoder. Each
+// round takes a valid payload, mutates it (bit flips, random bytes,
+// truncation, insertion, duplicated or deleted ranges), re-frames it with a
+// valid checksum so the mutation reaches the field readers, and restores it
+// into a freshly built object.
 // The invariant: every mutated payload either throws CheckpointError or
 // round-trips exactly (serializing the restored object gives the mutated
 // bytes back). Nothing else may escape, and a restored object must still
@@ -18,6 +19,8 @@
 #include "src/analog/modulator_bank.hpp"
 #include "src/common/checkpoint.hpp"
 #include "src/common/rng.hpp"
+#include "src/core/telemetry.hpp"
+#include "tests/fuzz_mutate.hpp"
 
 namespace tono {
 namespace {
@@ -37,49 +40,6 @@ Bytes frame(const Bytes& payload) {
   CheckpointWriter out;
   for (const std::uint8_t b : payload) out.u8(b);
   return out.finish(kVersion);
-}
-
-Bytes mutate(Bytes p, Rng& rng) {
-  const auto pick = [&](std::size_t n) {
-    return static_cast<std::size_t>(rng.uniform_below(n == 0 ? 1 : n));
-  };
-  const std::size_t edits = 1 + pick(3);
-  for (std::size_t e = 0; e < edits; ++e) {
-    switch (pick(6)) {
-      case 0:  // flip one bit
-        if (!p.empty()) p[pick(p.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
-        break;
-      case 1:  // overwrite one byte
-        if (!p.empty()) p[pick(p.size())] = static_cast<std::uint8_t>(pick(256));
-        break;
-      case 2:  // truncate
-        p.resize(pick(p.size() + 1));
-        break;
-      case 3:  // insert random bytes
-        p.insert(p.begin() + static_cast<std::ptrdiff_t>(pick(p.size() + 1)),
-                 1 + pick(8), static_cast<std::uint8_t>(pick(256)));
-        break;
-      case 4: {  // delete a range
-        if (p.empty()) break;
-        const std::size_t at = pick(p.size());
-        const std::size_t n = 1 + pick(std::min<std::size_t>(16, p.size() - at));
-        p.erase(p.begin() + static_cast<std::ptrdiff_t>(at),
-                p.begin() + static_cast<std::ptrdiff_t>(at + n));
-        break;
-      }
-      default: {  // duplicate a range in place
-        if (p.empty()) break;
-        const std::size_t at = pick(p.size());
-        const std::size_t n = 1 + pick(std::min<std::size_t>(16, p.size() - at));
-        const Bytes range(p.begin() + static_cast<std::ptrdiff_t>(at),
-                          p.begin() + static_cast<std::ptrdiff_t>(at + n));
-        p.insert(p.begin() + static_cast<std::ptrdiff_t>(at), range.begin(),
-                 range.end());
-        break;
-      }
-    }
-  }
-  return p;
 }
 
 /// Runs `rounds` mutations of `clean`. `restore_roundtrip` builds a fresh
@@ -167,6 +127,70 @@ TEST(CheckpointFuzz, ModulatorBankRestoreThrowsOrRoundTrips) {
     bank.step_capacitive_block(c_sense.data(), c_ref.data(), bits.data(), 200);
     return payload_of(back);
   });
+}
+
+/// A decoder holding the first 127 bytes of a maximum-size frame: the
+/// longest buffer a push can leave behind.
+CheckpointWriter longest_partial_frame_decoder() {
+  core::FrameEncoder enc;
+  core::FrameDecoder dec;
+  const std::vector<std::int16_t> codes(core::kMaxSamplesPerFrame, -7);
+  (void)dec.push(enc.encode(codes));
+  auto partial = enc.encode(codes);
+  partial.pop_back();
+  EXPECT_TRUE(dec.push(partial).empty());
+  CheckpointWriter out;
+  dec.serialize(out);
+  return out;
+}
+
+TEST(CheckpointFuzz, FrameDecoderRestoreThrowsOrRoundTrips) {
+  const CheckpointWriter out = longest_partial_frame_decoder();
+  core::FrameEncoder enc;
+  const auto next = enc.encode(std::vector<std::int16_t>(12, 5));
+  fuzz(payload_of(out), 0xF125u, 3000, [&](CheckpointReader& in) {
+    core::FrameDecoder dec;
+    dec.restore(in);
+    in.expect_end();
+    CheckpointWriter back;
+    dec.serialize(back);
+    (void)dec.push(next);
+    return payload_of(back);
+  });
+}
+
+// The buffered length is read from the blob: a length no push leaves behind
+// is rejected even when the blob holds that many bytes, and a length the
+// blob does not hold fails on the reads.
+TEST(CheckpointFuzz, FrameDecoderRestoreRejectsMoreThanAPushLeaves) {
+  const auto decoder_blob = [](std::size_t claimed, std::size_t held) {
+    CheckpointWriter out;
+    out.section("frame_decoder");
+    out.size(claimed);
+    for (std::size_t i = 0; i < held; ++i) out.u8(0x5A);
+    for (int i = 0; i < 4; ++i) out.size(0);
+    out.boolean(false);
+    out.u16(0);
+    return out.finish(kVersion);
+  };
+  const std::size_t max_frame = core::frame_wire_bytes(core::kMaxSamplesPerFrame);
+  for (const std::size_t n : {max_frame, std::size_t{4096}}) {
+    const Bytes blob = decoder_blob(n, n);
+    CheckpointReader in{blob};
+    core::FrameDecoder dec;
+    EXPECT_THROW(dec.restore(in), CheckpointError) << n;
+  }
+  {
+    const Bytes blob = decoder_blob(100, 10);
+    CheckpointReader in{blob};
+    core::FrameDecoder dec;
+    EXPECT_THROW(dec.restore(in), CheckpointError);
+  }
+  const Bytes blob = decoder_blob(max_frame - 1, max_frame - 1);
+  CheckpointReader in{blob};
+  core::FrameDecoder dec;
+  dec.restore(in);
+  in.expect_end();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -23,6 +24,44 @@ TEST(Crc16, KnownVector) {
 }
 
 TEST(Crc16, EmptyIsInit) { EXPECT_EQ(crc16_ccitt({}), 0xFFFF); }
+
+/// CRC-16/CCITT-FALSE straight from its definition: each byte enters the top
+/// of the register and is divided out one bit at a time. The table-driven
+/// crc16_ccitt must agree with it on every input.
+std::uint16_t crc16_bitwise_reference(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::uint8_t byte : data) {
+    crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(byte) << 8));
+    for (int bit = 0; bit < 8; ++bit) {
+      if (crc & 0x8000) {
+        crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+      } else {
+        crc = static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16, TableEqualsBitwiseReferenceOnEverySingleByte) {
+  for (int b = 0; b < 256; ++b) {
+    const auto byte = static_cast<std::uint8_t>(b);
+    EXPECT_EQ(crc16_ccitt({&byte, 1}), crc16_bitwise_reference({&byte, 1})) << b;
+  }
+}
+
+TEST(Crc16, TableEqualsBitwiseReferenceOnEveryLengthTo600) {
+  tono::Rng rng{0xC2C16};
+  for (std::size_t n = 0; n <= 600; ++n) {
+    std::vector<std::uint8_t> random(n);
+    for (auto& b : random) b = static_cast<std::uint8_t>(rng.uniform_below(256));
+    const std::vector<std::uint8_t> zeros(n, 0x00);
+    const std::vector<std::uint8_t> ones(n, 0xFF);
+    EXPECT_EQ(crc16_ccitt(random), crc16_bitwise_reference(random)) << n;
+    EXPECT_EQ(crc16_ccitt(zeros), crc16_bitwise_reference(zeros)) << n;
+    EXPECT_EQ(crc16_ccitt(ones), crc16_bitwise_reference(ones)) << n;
+  }
+}
 
 TEST(Telemetry, RoundTripSingleFrame) {
   FrameEncoder enc;
